@@ -18,6 +18,25 @@ from . import complexity, experiments, gf2poly, modular, nfa, words
 from .errors import AcxError
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _int_at_least(1)
+_nonnegative = _int_at_least(0)
+
+
 def _emit_json(data: dict) -> None:
     print(json.dumps(data, indent=2))
 
@@ -166,7 +185,7 @@ def _cmd_construct(args) -> int:
     positions = _parse_int_list(args.positions)
     bits = _parse_int_list(args.bits)
     constraint = modular.PositionConstraint(
-        n=args.n, positions=positions, bits=bits, k=args.alphabet or 2
+        n=args.n, positions=positions, bits=bits, k=args.alphabet
     )
     mode = "smallest_prime" if args.prime else "smallest_integer"
     witness = modular.build_low_complexity_word(
@@ -265,7 +284,7 @@ def _cmd_survey(args) -> int:
         samples=args.samples,
         seed=args.seed,
         epsilon=Fraction(args.eps),
-        k=args.alphabet or 2,
+        k=args.alphabet,
         jobs=args.jobs,
     )
     if args.json:
@@ -287,11 +306,11 @@ def _cmd_verify(args) -> int:
         data = {"reference_word": report, "shuffle_family": family, "ok": family["ok"]}
         ok = family["ok"]
     elif args.suite == "oracle":
-        sweep = experiments.oracle_cross_check(n_max=args.n_max or 6)
+        sweep = experiments.oracle_cross_check(n_max=args.n_max)
         data = sweep.to_json_dict()
         ok = sweep.ok
     else:
-        sweep = experiments.sandwich_check(n_max=args.n_max or 6)
+        sweep = experiments.sandwich_check(n_max=args.n_max)
         data = sweep.to_json_dict()
         ok = sweep.ok
     if args.json:
@@ -322,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_jobs(p):
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_positive, default=1,
                        help="worker processes for the search fan-out")
 
     def add_dot(p):
@@ -334,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     word_cmd("bound", _cmd_bound, "cyclic power upper bound and hyde bound",
              extra=(add_dot,))
     p = word_cmd("classify", _cmd_classify, "is A_N(w) > |w|/c", extra=(add_jobs,))
-    p.add_argument("--c", type=int, required=True)
+    p.add_argument("--c", type=_positive, required=True)
     word_cmd("simple", _cmd_simple, "is A_N(w) below the universal bound",
              extra=(add_jobs,))
     p = word_cmd("power", _cmd_power, "fractional power of a word")
@@ -364,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("table", help="worst-case best bound by constraint count and length")
-    p.add_argument("--max-c", type=int, default=6)
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--max-c", type=_nonnegative, default=6)
+    p.add_argument("--max-n", type=_nonnegative, default=6)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_table)
@@ -392,13 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", default="1/3", help="tolerance as p/q")
     p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("paper", "oracle", "sandwich"), required=True)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_nonnegative, default=6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -408,9 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the library checks its preconditions with AcxError or ValueError;
+    # both are domain errors here
     try:
         return args.func(args)
-    except AcxError as exc:
+    except (AcxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -79,114 +79,126 @@ class ComplexityResult:
 class _LevelSearch:
     """Depth-first scan of canonical q-state path candidates for one word.
 
-    Walk counts live in two bitmasks per path position: states reached by
-    at least one walk of that length, and states reached by at least two.
-    Committing a transition rebuilds the row stack; reusing one appends a
-    single row.  Both keep the prune exact.
+    The committed transitions are held once, as ``labels[p][t]``: the
+    bitmask of the letters on the edge p -> t, which also answers whether a
+    step reuses a committed transition.  Two per-source target masks follow
+    it on every commit and undo: ``out_any[p]``, the targets with at least
+    one letter, and ``out_multi[p]``, those with two or more.
+
+    Walk counts, capped at two, live in one (m1, m2) row per path position:
+    the states reached by at least one walk of that length, and by at least
+    two.  A step walks the set bits p of m1; a target of p gets a second
+    walk if an earlier p already reached it, if two letters lead there from
+    p, or if p itself has two walks.  Reusing a transition appends one row.
+    Committing a new one leaves the rows before the first that reaches its
+    source as they are and rebuilds the rest into a fresh list; the undo
+    record keeps the old list, so an undo restores it whole.  Both keep the
+    prune exact.
+
+    One walker serves the sequential search, the subtree search below a
+    frontier prefix and the frontier scan of the parallel search.
     """
 
     __slots__ = (
-        "letters", "n", "q", "in_single", "in_multi", "mult",
-        "committed", "rows", "path", "nodes",
+        "letters", "n", "q", "labels", "out_any", "out_multi",
+        "rows", "path", "nodes", "stop", "prefixes",
     )
 
     def __init__(self, letters: Sequence[int], q: int):
         self.letters = tuple(letters)
         self.n = len(letters)
         self.q = q
-        self.in_single = [0] * q
-        self.in_multi = [0] * q
-        self.mult = [[0] * q for _ in range(q)]
-        self.committed: set[tuple[int, int, int]] = set()
+        self.labels = [[0] * q for _ in range(q)]
+        self.out_any = [0] * q
+        self.out_multi = [0] * q
         self.rows: list[tuple[int, int]] = [(1, 0)]
         self.path: list[int] = [0]
         self.nodes = 0
+        self.stop = self.n
+        self.prefixes: Optional[list[tuple[int, ...]]] = None
 
     def _step(self, row: tuple[int, int]) -> tuple[int, int]:
         m1, m2 = row
+        out_any = self.out_any
+        out_multi = self.out_multi
         r1 = 0
         r2 = 0
-        bit = 1
-        for a, b in zip(self.in_single, self.in_multi):
-            ab = a | b
-            if m1 & ab:
-                r1 |= bit
-                singles = m1 & a
-                if (m2 & ab) or (m1 & b) or (singles & (singles - 1)):
-                    r2 |= bit
-            bit <<= 1
+        while m1:
+            low = m1 & -m1
+            p = low.bit_length() - 1
+            targets = out_any[p]
+            r2 |= (r1 & targets) | out_multi[p]
+            if m2 & low:
+                r2 |= targets
+            r1 |= targets
+            m1 ^= low
         return r1, r2
+
+    def _relabel(self, source: int, target: int, labels: int) -> None:
+        self.labels[source][target] = labels
+        bit = 1 << target
+        if labels:
+            self.out_any[source] |= bit
+        else:
+            self.out_any[source] &= ~bit
+        if labels & (labels - 1):
+            self.out_multi[source] |= bit
+        else:
+            self.out_multi[source] &= ~bit
 
     def _extend(self, depth: int, target: int):
         """Commit one step of the path; returns an undo record or None if pruned."""
         source = self.path[depth]
-        key = (source, self.letters[depth], target)
+        old = self.labels[source][target]
+        letter = 1 << self.letters[depth]
         rows = self.rows
-        if key in self.committed:
+        if old & letter:
             row = self._step(rows[-1])
             if (row[1] >> target) & 1:
                 return None
             rows.append(row)
             self.path.append(target)
             return _OLD_EDGE
-        count = self.mult[source][target]
-        self.mult[source][target] = count + 1
+        self._relabel(source, target, old | letter)
         bit = 1 << source
-        if count == 0:
-            self.in_single[target] |= bit
-        elif count == 1:
-            self.in_single[target] &= ~bit
-            self.in_multi[target] |= bit
-        self.committed.add(key)
-        # rows before the first step that reaches the new edge's source are
-        # unaffected by the commit, so only the tail needs rebuilding
         first = 0
         while not rows[first][0] & bit:
             first += 1
-        saved = rows[first + 1 :]
-        del rows[first + 1 :]
-        row = rows[first]
+        fresh = rows[: first + 1]
+        row = fresh[-1]
         step = self._step
         for _ in range(depth - first + 1):
             row = step(row)
-            rows.append(row)
+            fresh.append(row)
         if (row[1] >> target) & 1:
-            del rows[first + 1 :]
-            rows.extend(saved)
-            self.committed.discard(key)
-            self.mult[source][target] = count
-            if count == 0:
-                self.in_single[target] &= ~bit
-            elif count == 1:
-                self.in_multi[target] &= ~bit
-                self.in_single[target] |= bit
+            self._relabel(source, target, old)
             return None
+        self.rows = fresh
         self.path.append(target)
-        return (key, saved, count, first)
+        return (source, target, old, rows)
 
     def _retract(self, record) -> None:
         self.path.pop()
         if record is _OLD_EDGE:
             self.rows.pop()
             return
-        key, saved, count, first = record
-        del self.rows[first + 1 :]
-        self.rows.extend(saved)
-        self.committed.discard(key)
-        source, _, target = key
-        bit = 1 << source
-        self.mult[source][target] = count
-        if count == 0:
-            self.in_single[target] &= ~bit
-        elif count == 1:
-            self.in_multi[target] &= ~bit
-            self.in_single[target] |= bit
+        source, target, old, rows = record
+        self.rows = rows
+        self._relabel(source, target, old)
 
-    def _dfs(self, depth: int, max_state: int) -> Optional[tuple[int, ...]]:
-        if depth == self.n:
-            if max_state == self.q - 1 and not (self.rows[-1][1] >> self.path[-1]) & 1:
-                return tuple(self.path)
-            return None
+    def _walk(self, depth: int, max_state: int) -> Optional[tuple[int, ...]]:
+        """Extend the path depth first, in lexicographic order of targets.
+
+        At depth ``stop`` a prefix is collected into ``prefixes`` when that
+        list is set, and the walk goes on; otherwise the path is returned
+        if it uses all q states, which ends the walk.  The extension into
+        the endpoint already ruled out a second walk there.
+        """
+        if depth == self.stop:
+            if self.prefixes is not None:
+                self.prefixes.append(tuple(self.path))
+                return None
+            return tuple(self.path) if max_state == self.q - 1 else None
         remaining = self.n - depth - 1
         limit = max_state + 1
         if limit > self.q - 1:
@@ -199,68 +211,35 @@ class _LevelSearch:
             record = self._extend(depth, target)
             if record is None:
                 continue
-            result = self._dfs(depth + 1, new_max)
+            result = self._walk(depth + 1, new_max)
             self._retract(record)
             if result is not None:
                 return result
         return None
 
-    def run(self) -> tuple[Optional[tuple[int, ...]], int]:
-        if self.q > self.n + 1:
-            return None, 0
-        return self._dfs(0, 0), self.nodes
-
-    def run_from(self, prefix: tuple[int, ...]) -> tuple[Optional[tuple[int, ...]], int]:
-        """Search the subtree below a frontier prefix (path including state 0)."""
-        if self.q > self.n + 1:
-            return None, 0
-        max_state = 0
-        records = []
+    def search(self, prefix: tuple[int, ...] = (0,)) -> tuple[Optional[tuple[int, ...]], int]:
+        """The least surviving full path that starts with ``prefix`` (state 0
+        first), and the nodes examined below the prefix."""
         for depth, target in enumerate(prefix[1:]):
-            record = self._extend(depth, target)
-            if record is None:
+            if self._extend(depth, target) is None:
                 raise RuntimeError(f"frontier prefix {prefix} does not replay")
-            records.append(record)
-            if target > max_state:
-                max_state = target
-        result = self._dfs(len(prefix) - 1, max_state)
-        for record in reversed(records):
-            self._retract(record)
-        return result, self.nodes
+        return self._walk(len(prefix) - 1, max(prefix)), self.nodes
 
-    def frontier(self, depth_cap: int) -> tuple[list[tuple[int, ...]], int]:
+    def frontier(self, depth: int) -> tuple[list[tuple[int, ...]], int]:
         """Prune-surviving prefixes of the given length, in search order."""
-        prefixes: list[tuple[int, ...]] = []
-
-        def walk(depth: int, max_state: int) -> None:
-            if depth == depth_cap:
-                prefixes.append(tuple(self.path))
-                return
-            remaining = self.n - depth - 1
-            limit = min(max_state + 1, self.q - 1)
-            for target in range(limit + 1):
-                new_max = max_state if target <= max_state else target
-                if self.q - 1 - new_max > remaining:
-                    continue
-                self.nodes += 1
-                record = self._extend(depth, target)
-                if record is None:
-                    continue
-                walk(depth + 1, new_max)
-                self._retract(record)
-
-        if self.q <= self.n + 1 and depth_cap < self.n:
-            walk(0, 0)
-        return prefixes, self.nodes
+        self.stop = depth
+        self.prefixes = []
+        self._walk(0, 0)
+        return self.prefixes, self.nodes
 
 
 def _search_level(letters: Sequence[int], q: int) -> tuple[Optional[tuple[int, ...]], int]:
-    return _LevelSearch(letters, q).run()
+    return _LevelSearch(letters, q).search()
 
 
 def _parallel_branch(args) -> tuple[Optional[tuple[int, ...]], int]:
     letters, q, prefix = args
-    return _LevelSearch(letters, q).run_from(prefix)
+    return _LevelSearch(letters, q).search(prefix)
 
 
 def _search_level_parallel(

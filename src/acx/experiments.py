@@ -278,9 +278,12 @@ def survey(
     rng = DeterministicRng(seed)
     stream = [tuple(rng.below(k) for _ in range(n)) for _ in range(samples)]
     if jobs > 1:
+        # about four chunks per worker, so every worker gets a share of the
+        # samples and an uneven chunk costs at most a quarter of one share
+        chunksize = max(1, samples // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             values = list(
-                pool.map(_an_value_of_letters, ((s, k) for s in stream), chunksize=16)
+                pool.map(_an_value_of_letters, ((s, k) for s in stream), chunksize=chunksize)
             )
     else:
         values = [an_exact(Word(s, k)).value for s in stream]

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from acx.nfa import Nfa
+from acx.nfa import Nfa, uniquely_accepts
 from acx.words import Word
 
 
@@ -65,3 +65,45 @@ def overlap_free_oracle(w: Word) -> bool:
         if Fraction(length, period) > 2:
             return False
     return True
+
+
+def restricted_growth(n: int, q: int):
+    """State sequences s_0..s_n with s_0 = 0, each s_{i+1} at most one above
+    max(s_0..s_i), and maximum exactly q - 1, in lexicographic order."""
+
+    def rec(seq: list[int], top: int):
+        if len(seq) == n + 1:
+            if top == q - 1:
+                yield tuple(seq)
+            return
+        for s in range(min(top + 1, q - 1) + 1):
+            seq.append(s)
+            yield from rec(seq, max(top, s))
+            seq.pop()
+
+    return rec([0], 0)
+
+
+def path_induced_oracle(w: Word) -> tuple[int, Nfa]:
+    """A_N and the lexicographically least path-induced witness, naively.
+
+    Tries q = 1, 2, ... and, for each, every canonical state sequence in
+    lexicographic order: builds the automaton of exactly the transitions on
+    that path, with the endpoint as the only final state, and keeps the
+    first one that accepts w uniquely.  No incremental walk counts, no undo
+    and no pruning.
+    """
+    n = len(w)
+    for q in range(1, n + 2):
+        for seq in restricted_growth(n, q):
+            candidate = Nfa(
+                q=q,
+                k=w.k,
+                transitions=frozenset(
+                    (seq[i], w.letters[i], seq[i + 1]) for i in range(n)
+                ),
+                finals=frozenset({seq[-1]}),
+            )
+            if uniquely_accepts(candidate, w):
+                return q, candidate
+    raise AssertionError(f"no path-induced witness for {w}")

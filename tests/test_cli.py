@@ -201,3 +201,57 @@ class TestUsageErrors:
     def test_alphabet_too_large(self, capsys):
         code, _, err = run(capsys, "compute", "01", "--alphabet", "11")
         assert code == 1 and "alphabet" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--max-c", "-1"),
+            ("table", "--max-n", "-1"),
+            ("classify", "01", "--c", "0"),
+            ("compute", "01", "--jobs", "0"),
+            ("compute", "01", "--jobs", "-3"),
+            ("classify", "01", "--c", "2", "--jobs", "0"),
+            ("classify", "01", "--c", "2", "--jobs", "-3"),
+            ("simple", "01", "--jobs", "0"),
+            ("simple", "01", "--jobs", "-3"),
+            ("survey", "--n", "4", "--jobs", "0"),
+            ("survey", "--n", "4", "--jobs", "-3"),
+            ("verify", "--suite", "sandwich", "--n-max", "-2"),
+        ],
+    )
+    def test_out_of_range_integer_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("primorial", "0"),
+            ("theta", "0"),
+            ("power", "01", "--exp", "0"),
+            ("construct", "--n", "4", "--positions", "3,1", "--bits", "0,1"),
+            ("construct", "--n", "4", "--positions", "1", "--bits", "0", "--alphabet", "0"),
+            ("survey", "--n", "4", "--samples", "2", "--alphabet", "0"),
+        ],
+    )
+    def test_exit_one_with_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestVerifyNMax:
+    def test_zero_checks_the_empty_word_only(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "oracle", "--n-max", "0", "--json")
+        assert code == 0
+        assert json.loads(out)["checked"] == 1
+
+    def test_default_is_six(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "sandwich", "--json")
+        assert code == 0
+        assert json.loads(out)["checked"] == sum(3**n for n in range(7))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +19,7 @@ from acx.complexity import (
 from acx.errors import EmptyBase, NotAPower, SearchExhausted
 from acx.nfa import uniquely_accepts
 from acx.words import Word
-from oracles import count_walks_oracle
+from oracles import count_walks_oracle, path_induced_oracle
 
 W = Word.from_text
 
@@ -177,6 +178,36 @@ class TestAnExact:
                 ),
                 finals=frozenset({best[-1]}),
             )
+
+
+class TestKernelInvariants:
+    """Node counts and witnesses that a change to the search kernel alone
+    must leave exactly as they are."""
+
+    def test_search_node_counts(self):
+        def nodes(w):
+            return an_exact(w).certificate.search_nodes
+
+        assert nodes(REFERENCE) == 8338
+        assert nodes(W("001111110100110110", k=2)) == 47760
+        ternary = [Word(l, 3) for n in range(7) for l in product(range(3), repeat=n)]
+        assert sum(nodes(w) for w in ternary) == 58422
+        binary = [Word(l, 2) for n in range(9) for l in product((0, 1), repeat=n)]
+        assert sum(nodes(w) for w in binary) == 68148
+
+    def test_naive_oracle_all_binary_up_to_seven(self):
+        for n in range(8):
+            for letters in product((0, 1), repeat=n):
+                w = Word(letters, 2)
+                result = an_exact(w)
+                assert (result.value, result.witness) == path_induced_oracle(w), w
+
+    def test_naive_oracle_ternary_sample_up_to_seven(self):
+        words = [l for n in range(8) for l in product(range(3), repeat=n)]
+        for letters in random.Random(2026).sample(words, 60):
+            w = Word(letters, 3)
+            result = an_exact(w)
+            assert (result.value, result.witness) == path_induced_oracle(w), w
 
 
 class TestCyclicWitness:
