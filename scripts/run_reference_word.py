@@ -22,6 +22,8 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--dot", default=None, help="write the witness as DOT")
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
     word = Word.from_text(args.word, k=args.alphabet)
     start = time.perf_counter()

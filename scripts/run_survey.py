@@ -22,6 +22,8 @@ def main() -> None:
     parser.add_argument("--alphabet", type=int, default=2)
     parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
     lengths = [int(part) for part in args.lengths.split(",")]
     reports = []

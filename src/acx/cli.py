@@ -37,6 +37,14 @@ _positive = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
 
+def _fraction(text: str) -> Fraction:
+    """An argparse type for rationals such as 3/2, 1.5 or 2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction p/q, got {text!r}") from None
+
+
 def _emit_json(data: dict) -> None:
     print(json.dumps(data, indent=2))
 
@@ -116,10 +124,10 @@ def _cmd_simple(args) -> int:
 
 def _cmd_power(args) -> int:
     w = _parse_word(args.word, args.alphabet)
-    spec = words.PowerSpec(w, Fraction(args.exp))
+    spec = words.PowerSpec(w, args.exp)
     result = words.power(spec)
     if args.json:
-        _emit_json({"base": str(w), "exponent": args.exp, "power": str(result)})
+        _emit_json({"base": str(w), "exponent": str(spec.exponent), "power": str(result)})
     else:
         print(result)
     return 0
@@ -283,7 +291,7 @@ def _cmd_survey(args) -> int:
         n=args.n,
         samples=args.samples,
         seed=args.seed,
-        epsilon=Fraction(args.eps),
+        epsilon=args.eps,
         k=args.alphabet,
         jobs=args.jobs,
     )
@@ -357,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     word_cmd("simple", _cmd_simple, "is A_N(w) below the universal bound",
              extra=(add_jobs,))
     p = word_cmd("power", _cmd_power, "fractional power of a word")
-    p.add_argument("--exp", required=True, help="exponent p/q")
+    p.add_argument("--exp", type=_fraction, required=True, help="exponent p/q")
     word_cmd("squarefree", _cmd_squarefree, "test squarefreeness")
     word_cmd("overlapfree", _cmd_overlapfree, "test overlap-freeness")
 
@@ -409,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", default="1/3", help="tolerance as p/q")
+    p.add_argument("--eps", type=_fraction, default="1/3", help="tolerance as p/q")
     p.add_argument("--alphabet", type=int, default=2)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--json", action="store_true")

@@ -20,6 +20,7 @@ walk.  All comparisons are exact integer arithmetic.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,21 @@ from .nfa import Nfa, uniquely_accepts
 from .words import Rational, Word, as_fraction, contains_alpha_power
 
 _OLD_EDGE = ("old",)
+
+# an_exact searches a level in parallel once the level below it exhausted
+# this many nodes; a cheaper level does not repay the pool's start-up
+_FAN_OUT_NODES = 4096
+# the frontier's target size per worker, so that no subtree is a large
+# share of a level
+_PREFIXES_PER_WORKER = 64
+
+
+def worker_count(jobs: int) -> int:
+    """Worker processes to start for ``jobs``: at most one per CPU."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    # os.cpu_count reads a system file; sequential callers need not ask
+    return 1 if jobs == 1 else min(jobs, os.cpu_count() or 1)
 
 
 def hyde_bound(n: int) -> int:
@@ -96,7 +112,9 @@ class _LevelSearch:
     prune exact.
 
     One walker serves the sequential search, the subtree search below a
-    frontier prefix and the frontier scan of the parallel search.
+    frontier prefix and the frontier scan of the parallel search.  A scan
+    to a given depth counts exactly the nodes above that depth, so frontier
+    nodes plus subtree nodes equal the sequential count at any depth.
     """
 
     __slots__ = (
@@ -237,40 +255,49 @@ def _search_level(letters: Sequence[int], q: int) -> tuple[Optional[tuple[int, .
     return _LevelSearch(letters, q).search()
 
 
-def _parallel_branch(args) -> tuple[Optional[tuple[int, ...]], int]:
+def _search_subtree(args) -> tuple[Optional[tuple[int, ...]], int]:
     letters, q, prefix = args
     return _LevelSearch(letters, q).search(prefix)
 
 
-def _search_level_parallel(
-    letters: Sequence[int], q: int, jobs: int
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """Fan the subtrees below a frontier out to worker processes.
+def _frontier(letters: Sequence[int], q: int, size: int) -> tuple[list[tuple[int, ...]], int]:
+    """Prefixes to fan out, and the nodes examined above them.
 
-    Workers exhaust disjoint subtrees; the reduction takes the first hit in
-    prefix order, which is the lexicographically least witness, so results
-    match the sequential search exactly.
+    The frontier deepens one letter at a time until it holds ``size``
+    prefixes, or until one letter more would leave fewer of them: a level
+    whose tree narrows would otherwise be rescanned to every depth.
     """
-    n = len(letters)
-    scout = _LevelSearch(letters, q)
-    depth = 1
-    prefixes, _ = scout.frontier(depth)
-    while len(prefixes) < 4 * jobs and depth < min(n - 1, 8):
-        depth += 1
-        scout = _LevelSearch(letters, q)
-        prefixes, _ = scout.frontier(depth)
-    frontier_nodes = scout.nodes
-    if len(prefixes) <= 1:
-        return _search_level(letters, q)
-    tasks = [(tuple(letters), q, prefix) for prefix in prefixes]
-    total = frontier_nodes
-    found: Optional[tuple[int, ...]] = None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for seq, nodes in pool.map(_parallel_branch, tasks, chunksize=1):
+    prefixes, nodes = _LevelSearch(letters, q).frontier(1)
+    for depth in range(2, len(letters) + 1):
+        if len(prefixes) >= size:
+            break
+        deeper, deeper_nodes = _LevelSearch(letters, q).frontier(depth)
+        if len(deeper) < len(prefixes):
+            break
+        prefixes, nodes = deeper, deeper_nodes
+    return prefixes, nodes
+
+
+def _search_level_parallel(
+    pool, letters: tuple[int, ...], q: int, workers: int
+) -> tuple[Optional[tuple[int, ...]], int]:
+    """Search one level by fanning the subtrees below a frontier out to ``pool``.
+
+    Results are read in prefix order, so the first hit is the
+    lexicographically least witness; closing the result iterator there
+    cancels the subtrees not yet started.  On an exhausted level the
+    frontier nodes plus the subtree nodes equal the sequential count.
+    """
+    prefixes, total = _frontier(letters, q, _PREFIXES_PER_WORKER * workers)
+    results = pool.map(_search_subtree, [(letters, q, prefix) for prefix in prefixes])
+    try:
+        for seq, nodes in results:
             total += nodes
-            if found is None and seq is not None:
-                found = seq
-    return found, total
+            if seq is not None:
+                return seq, total
+    finally:
+        results.close()
+    return None, total
 
 
 def _witness_from_path(word: Word, seq: tuple[int, ...], q: int) -> Nfa:
@@ -294,7 +321,15 @@ def an_exact(
     lexicographically least canonical state sequence.  upper_hint, when
     given, must be a valid upper bound (for example from power_upper_bound);
     the default ceiling floor(n/2)+1 always admits a witness.
+
+    With ``jobs`` > 1 (capped by worker_count) a level is searched across
+    worker processes once the level below it exhausted at least
+    _FAN_OUT_NODES nodes.  The gate counts nodes, not time, so whether a
+    call fans out depends on the word alone; the call starts at most one
+    pool and shuts it down before it returns.  Value, witness and
+    certificate are identical at any ``jobs``.
     """
+    workers = worker_count(jobs)
     n = len(word)
     start = max(1, lower_hint if lower_hint is not None else 1)
     ceiling = hyde_bound(n)
@@ -302,23 +337,31 @@ def an_exact(
         ceiling = min(ceiling, upper_hint)
     letters = word.letters
     exhausted_nodes = 0
-    for q in range(start, ceiling + 1):
-        if jobs > 1 and n >= 12 and q >= 4:
-            seq, nodes = _search_level_parallel(letters, q, jobs)
-        else:
-            seq, nodes = _search_level(letters, q)
-        if seq is None:
-            exhausted_nodes += nodes
-            continue
-        witness = _witness_from_path(word, seq, q)
-        if not uniquely_accepts(witness, word):
-            raise RuntimeError(f"search produced a bad witness for {word}")
-        certificate = SearchCertificate(
-            states_ruled_out=q - start,
-            search_nodes=exhausted_nodes,
-            search_mode="path-induced",
-        )
-        return ComplexityResult(value=q, witness=witness, certificate=certificate)
+    level_nodes = 0
+    pool = None
+    try:
+        for q in range(start, ceiling + 1):
+            if workers > 1 and level_nodes >= _FAN_OUT_NODES:
+                if pool is None:
+                    pool = ProcessPoolExecutor(max_workers=workers)
+                seq, level_nodes = _search_level_parallel(pool, letters, q, workers)
+            else:
+                seq, level_nodes = _search_level(letters, q)
+            if seq is None:
+                exhausted_nodes += level_nodes
+                continue
+            witness = _witness_from_path(word, seq, q)
+            if not uniquely_accepts(witness, word):
+                raise RuntimeError(f"search produced a bad witness for {word}")
+            certificate = SearchCertificate(
+                states_ruled_out=q - start,
+                search_nodes=exhausted_nodes,
+                search_mode="path-induced",
+            )
+            return ComplexityResult(value=q, witness=witness, certificate=certificate)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     raise SearchExhausted(
         f"no witness with at most {ceiling} states; the given upper_hint was wrong"
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .complexity import an_exact, full_enumeration_minima, hyde_bound
+from .complexity import an_exact, full_enumeration_minima, hyde_bound, worker_count
 from .errors import VerificationFailed
 from .nfa import Nfa, uniquely_accepts
 from .words import (
@@ -277,11 +277,12 @@ def survey(
     epsilon = as_fraction(epsilon)
     rng = DeterministicRng(seed)
     stream = [tuple(rng.below(k) for _ in range(n)) for _ in range(samples)]
-    if jobs > 1:
+    workers = worker_count(jobs)
+    if workers > 1:
         # about four chunks per worker, so every worker gets a share of the
         # samples and an uneven chunk costs at most a quarter of one share
-        chunksize = max(1, samples // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunksize = max(1, samples // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(
                 pool.map(_an_value_of_letters, ((s, k) for s in stream), chunksize=chunksize)
             )

@@ -226,6 +226,22 @@ class TestUsageErrors:
         assert "must be at least" in capsys.readouterr().err
 
 
+class TestFractionOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("power", "01", "--exp", "1/0"),
+            ("power", "01", "--exp", "x"),
+            ("survey", "--n", "4", "--samples", "2", "--eps", "1/0"),
+        ],
+    )
+    def test_malformed_fraction_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "expected a fraction" in capsys.readouterr().err
+
+
 class TestDomainErrors:
     @pytest.mark.parametrize(
         "argv",

@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,6 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import acx.complexity
+import acx.experiments
 from acx.complexity import (
     an_exact,
     an_exact_full,
@@ -15,6 +18,7 @@ from acx.complexity import (
     is_an_simple,
     power_bound_implication_holds,
     power_upper_bound,
+    worker_count,
 )
 from acx.errors import EmptyBase, NotAPower, SearchExhausted
 from acx.nfa import uniquely_accepts
@@ -208,6 +212,95 @@ class TestKernelInvariants:
             w = Word(letters, 3)
             result = an_exact(w)
             assert (result.value, result.witness) == path_induced_oracle(w), w
+
+
+class TestParallelSearch:
+    """jobs=2 calls that pass the node-count gate and reach the pool."""
+
+    @pytest.fixture
+    def pool_starts(self, monkeypatch):
+        starts = []
+
+        class CountingPool(acx.complexity.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(acx.complexity, "ProcessPoolExecutor", CountingPool)
+        # two workers whatever the machine, so the pool path always runs
+        monkeypatch.setattr(acx.complexity.os, "cpu_count", lambda: 2)
+        return starts
+
+    @pytest.mark.parametrize(
+        "word, nodes",
+        [
+            (W("001111110100110110"), 47760),
+            # the witness-level hit is in an early frontier prefix, so the
+            # later subtrees are cancelled or discarded
+            (REFERENCE, 8338),
+        ],
+    )
+    def test_one_pool_same_result(self, pool_starts, word, nodes):
+        sequential = an_exact(word)
+        assert pool_starts == []
+        parallel = an_exact(word, jobs=2)
+        assert pool_starts == [2]
+        assert parallel == sequential
+        assert parallel.certificate.search_nodes == nodes
+        assert multiprocessing.active_children() == []
+
+
+def recording_executor(created: list):
+    """An executor class that runs map in this process and appends each
+    pool's max_workers to ``created``."""
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+
+        def map(self, fn, iterable, chunksize=1):
+            return (fn(item) for item in iterable)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    return RecordingExecutor
+
+
+class TestWorkerCount:
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(acx.complexity.os, "cpu_count", lambda: 2)
+        assert worker_count(1) == 1
+        assert worker_count(2) == 2
+        assert worker_count(64) == 2
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(acx.complexity.os, "cpu_count", lambda: None)
+        assert worker_count(8) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_fewer_than_one(self, jobs):
+        with pytest.raises(ValueError):
+            worker_count(jobs)
+        with pytest.raises(ValueError):
+            an_exact(W("0110"), jobs=jobs)
+        with pytest.raises(ValueError):
+            acx.experiments.survey(4, 2, 0, Fraction(1, 3), jobs=jobs)
+
+    def test_pools_get_the_capped_count(self, monkeypatch):
+        created = []
+        monkeypatch.setattr(acx.complexity.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(acx.complexity, "ProcessPoolExecutor", recording_executor(created))
+        monkeypatch.setattr(acx.experiments, "ProcessPoolExecutor", recording_executor(created))
+        assert an_exact(REFERENCE, jobs=64) == an_exact(REFERENCE)
+        acx.experiments.survey(6, 4, 0, Fraction(1, 3), jobs=64)
+        assert created == [2, 2]
 
 
 class TestCyclicWitness:
