@@ -7,13 +7,14 @@ the largest value of "the least exact complexity among matching words".
 
 import argparse
 
+from acx.cli import _nonnegative
 from acx.modular import format_table, table_best_bound, table_csv
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-c", type=int, default=6)
-    parser.add_argument("--max-n", type=int, default=6)
+    parser.add_argument("--max-c", type=_nonnegative, default=6)
+    parser.add_argument("--max-n", type=_nonnegative, default=6)
     parser.add_argument("--csv", action="store_true")
     args = parser.parse_args()
 

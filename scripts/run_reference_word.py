@@ -9,6 +9,7 @@ unique-acceptance check.
 import argparse
 import time
 
+from acx.cli import _positive
 from acx.complexity import an_exact
 from acx.experiments import REFERENCE_WORD
 from acx.nfa import to_dot, uniquely_accepts
@@ -19,11 +20,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--word", default=str(REFERENCE_WORD), help="digit string")
     parser.add_argument("--alphabet", type=int, default=5)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_positive, default=1)
     parser.add_argument("--dot", default=None, help="write the witness as DOT")
     args = parser.parse_args()
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
     word = Word.from_text(args.word, k=args.alphabet)
     start = time.perf_counter()

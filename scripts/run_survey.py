@@ -8,31 +8,34 @@ only; no asymptotic claim.
 
 import argparse
 import json
-from fractions import Fraction
 
+from acx.cli import _fraction, _positive
 from acx.experiments import survey
+
+
+def _lengths(text: str) -> list[int]:
+    """An argparse type for a comma-separated list of positive lengths."""
+    return [_positive(part) for part in text.split(",")]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--lengths", default="8,16", help="comma-separated word lengths")
-    parser.add_argument("--samples", type=int, default=1000)
+    parser.add_argument("--lengths", type=_lengths, default="8,16",
+                        help="comma-separated word lengths")
+    parser.add_argument("--samples", type=_positive, default=1000)
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--eps", default="1/2")
-    parser.add_argument("--alphabet", type=int, default=2)
-    parser.add_argument("--jobs", type=int, default=2)
+    parser.add_argument("--eps", type=_fraction, default="1/2")
+    parser.add_argument("--alphabet", type=_positive, default=2)
+    parser.add_argument("--jobs", type=_positive, default=2)
     args = parser.parse_args()
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
-    lengths = [int(part) for part in args.lengths.split(",")]
     reports = []
-    for n in lengths:
+    for n in args.lengths:
         report = survey(
             n=n,
             samples=args.samples,
             seed=args.seed,
-            epsilon=Fraction(args.eps),
+            epsilon=args.eps,
             k=args.alphabet,
             jobs=args.jobs,
         )
@@ -40,7 +43,7 @@ def main() -> None:
         print(json.dumps(report.to_json_dict(), indent=2))
     if len(reports) >= 2:
         fractions = [r.within_epsilon for r in reports]
-        print(f"concentration fractions by length {lengths}: {fractions}")
+        print(f"concentration fractions by length {args.lengths}: {fractions}")
 
 
 if __name__ == "__main__":

@@ -307,12 +307,50 @@ def _witness_from_path(word: Word, seq: tuple[int, ...], q: int) -> Nfa:
     return Nfa(q=q, k=word.k, transitions=transitions, finals=frozenset({seq[-1]}))
 
 
+def _renamed_in_order(letters: Sequence[int]) -> tuple[int, ...]:
+    """The letters renamed 0, 1, 2, ... in order of first occurrence."""
+    names: dict[int, int] = {}
+    return tuple(names.setdefault(a, len(names)) for a in letters)
+
+
+def _search_levels(
+    letters: Sequence[int], start: int, ceiling: int, workers: int
+) -> tuple[int, tuple[int, ...], int]:
+    """The least state count in [start, ceiling] with a surviving path, that
+    path, and the nodes examined on the exhausted levels below it.
+
+    Starts at most one pool, for the levels after one that exhausted
+    _FAN_OUT_NODES nodes, and shuts it down before it returns.
+    """
+    exhausted_nodes = 0
+    level_nodes = 0
+    pool = None
+    try:
+        for q in range(start, ceiling + 1):
+            if workers > 1 and level_nodes >= _FAN_OUT_NODES:
+                if pool is None:
+                    pool = ProcessPoolExecutor(max_workers=workers)
+                seq, level_nodes = _search_level_parallel(pool, letters, q, workers)
+            else:
+                seq, level_nodes = _search_level(letters, q)
+            if seq is not None:
+                return q, seq, exhausted_nodes
+            exhausted_nodes += level_nodes
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    raise SearchExhausted(
+        f"no witness with at most {ceiling} states; the given upper_hint was wrong"
+    )
+
+
 def an_exact(
     word: Word,
     *,
     lower_hint: Optional[int] = None,
     upper_hint: Optional[int] = None,
     jobs: int = 1,
+    searches: Optional[dict] = None,
 ) -> ComplexityResult:
     """Exact A_N with a uniquely-accepting witness and exhaustion certificate.
 
@@ -328,43 +366,39 @@ def an_exact(
     call fans out depends on the word alone; the call starts at most one
     pool and shuts it down before it returns.  Value, witness and
     certificate are identical at any ``jobs``.
+
+    ``searches``, when given, is a dict that the calls of one sweep share.
+    The search compares letters only for equality, so a word and any
+    renaming of its letters take the same canonical path with the same
+    node counts at every level.  The dict maps (the letters renamed in
+    order of first occurrence, first level, ceiling) to the search's
+    outcome, and a word whose key is already there skips the search.  The
+    witness is still built from the word's own letters and re-checked, so
+    the result equals the one without ``searches``.  Pass a fresh dict per
+    sweep, so that it is freed when the sweep returns.
     """
     workers = worker_count(jobs)
-    n = len(word)
     start = max(1, lower_hint if lower_hint is not None else 1)
-    ceiling = hyde_bound(n)
+    ceiling = hyde_bound(len(word))
     if upper_hint is not None:
         ceiling = min(ceiling, upper_hint)
-    letters = word.letters
-    exhausted_nodes = 0
-    level_nodes = 0
-    pool = None
-    try:
-        for q in range(start, ceiling + 1):
-            if workers > 1 and level_nodes >= _FAN_OUT_NODES:
-                if pool is None:
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                seq, level_nodes = _search_level_parallel(pool, letters, q, workers)
-            else:
-                seq, level_nodes = _search_level(letters, q)
-            if seq is None:
-                exhausted_nodes += level_nodes
-                continue
-            witness = _witness_from_path(word, seq, q)
-            if not uniquely_accepts(witness, word):
-                raise RuntimeError(f"search produced a bad witness for {word}")
-            certificate = SearchCertificate(
-                states_ruled_out=q - start,
-                search_nodes=exhausted_nodes,
-                search_mode="path-induced",
-            )
-            return ComplexityResult(value=q, witness=witness, certificate=certificate)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    raise SearchExhausted(
-        f"no witness with at most {ceiling} states; the given upper_hint was wrong"
+    if searches is None:
+        q, seq, exhausted_nodes = _search_levels(word.letters, start, ceiling, workers)
+    else:
+        key = (_renamed_in_order(word.letters), start, ceiling)
+        found = searches.get(key)
+        if found is None:
+            found = searches[key] = _search_levels(key[0], start, ceiling, workers)
+        q, seq, exhausted_nodes = found
+    witness = _witness_from_path(word, seq, q)
+    if not uniquely_accepts(witness, word):
+        raise RuntimeError(f"search produced a bad witness for {word}")
+    certificate = SearchCertificate(
+        states_ruled_out=q - start,
+        search_nodes=exhausted_nodes,
+        search_mode="path-induced",
     )
+    return ComplexityResult(value=q, witness=witness, certificate=certificate)
 
 
 def cyclic_witness(x: Word, alpha: Rational) -> Nfa:

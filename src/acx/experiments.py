@@ -147,11 +147,12 @@ def sandwich_check(n_max: int = 9) -> SweepReport:
     """
     violations = []
     checked = 0
+    searches: dict = {}
     for n in range(n_max + 1):
         for letters in product(range(3), repeat=n):
             w = Word(letters, 3)
             checked += 1
-            value = an_exact(w).value
+            value = an_exact(w, searches=searches).value
             low = 2 * value <= n
             if is_square(w) and not low:
                 violations.append(f"square {w} has A_N {value} > {n}/2")
@@ -213,11 +214,12 @@ def oracle_cross_check(n_max: int = 6, q_max: int = 3) -> SweepReport:
     minima = full_enumeration_minima(2, n_max, q_max)
     violations = []
     checked = 0
+    searches: dict = {}
     for n in range(n_max + 1):
         for letters in product((0, 1), repeat=n):
             w = Word(letters, 2)
             checked += 1
-            mine = an_exact(w).value
+            mine = an_exact(w, searches=searches).value
             brute = minima.get(w)
             ok = (brute == mine) if mine <= q_max else (brute is None)
             if not ok:
@@ -312,7 +314,8 @@ def survey(
 def hyde_sharpness_witness(n: int, k: int = 3) -> Optional[Word]:
     """Lexicographically least word over [k] attaining the universal bound."""
     target = hyde_bound(n)
+    searches: dict = {}
     for letters in product(range(k), repeat=n):
-        if an_exact(Word(letters, k)).value == target:
+        if an_exact(Word(letters, k), searches=searches).value == target:
             return Word(letters, k)
     return None

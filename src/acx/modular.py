@@ -282,9 +282,10 @@ def avg_gap_check(values: Sequence[float]) -> AvgGapReport:
 def exact_values_binary(n: int) -> list[int]:
     """A_N over all binary words of length n, indexed by bitmask (LSB first)."""
     values = []
+    searches: dict = {}
     for index in range(1 << n):
         letters = tuple((index >> i) & 1 for i in range(n))
-        values.append(an_exact(Word(letters, 2)).value)
+        values.append(an_exact(Word(letters, 2), searches=searches).value)
     return values
 
 

@@ -66,9 +66,10 @@ def report(number: int, description: str, ok: bool) -> None:
 def binary_values():
     """Exact A_N for every binary word of length at most 10, by bitmask."""
     values: dict[tuple[int, ...], int] = {}
+    searches: dict = {}
     for n in range(11):
         for letters in product((0, 1), repeat=n):
-            values[letters] = an_exact(Word(letters, 2)).value
+            values[letters] = an_exact(Word(letters, 2), searches=searches).value
     return values
 
 
@@ -225,10 +226,11 @@ def test_criterion_4_hyde_bound_and_ternary_sharpness(capsys, binary_values):
         for letters, value in binary_values.items()
     )
     rng = DeterministicRng(20260809)
+    searches: dict = {}
     for n in (11, 12, 13, 14):
         for _ in range(25):
             letters = tuple(rng.below(2) for _ in range(n))
-            ok = ok and an_exact(Word(letters, 2)).value <= hyde_bound(n)
+            ok = ok and an_exact(Word(letters, 2), searches=searches).value <= hyde_bound(n)
     sharp = True
     for n in range(9):
         witness_word = hyde_sharpness_witness(n, k=3)

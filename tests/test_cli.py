@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +244,36 @@ class TestFractionOptions:
             main(list(argv))
         assert exc.value.code == 2
         assert "expected a fraction" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestScriptUsageErrors:
+    """The scripts parse options with the CLI's argparse types."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("make_table.py", "--max-c", "-1"), "must be at least 0"),
+            (("run_survey.py", "--eps", "1/0"), "expected a fraction"),
+            (("run_survey.py", "--lengths", "4,x"), "expected an integer"),
+            (("run_survey.py", "--samples", "0"), "must be at least 1"),
+        ],
+    )
+    def test_bad_option_is_usage_error(self, argv, message):
+        script, *options = argv
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), *options],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestDomainErrors:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import acx.complexity
 import acx.experiments
+import acx.modular
 from acx.complexity import (
     an_exact,
     an_exact_full,
@@ -248,6 +249,49 @@ class TestParallelSearch:
         assert parallel == sequential
         assert parallel.certificate.search_nodes == nodes
         assert multiprocessing.active_children() == []
+
+
+class TestSharedSearch:
+    """One search per renaming class of letters within a sweep, and
+    results equal to the unshared search."""
+
+    @pytest.mark.parametrize("k, n_max, searches", [(3, 6, 186), (2, 8, 256), (4, 5, 75)])
+    def test_same_results_one_search_per_class(self, k, n_max, searches):
+        shared: dict = {}
+        for n in range(n_max + 1):
+            for letters in product(range(k), repeat=n):
+                w = Word(letters, k)
+                assert an_exact(w, searches=shared) == an_exact(w), w
+        assert len(shared) == searches
+
+    def test_hints_are_part_of_the_key(self):
+        shared: dict = {}
+        assert an_exact(W("0110"), searches=shared).value == 3
+        with pytest.raises(SearchExhausted):
+            an_exact(W("0110"), upper_hint=2, searches=shared)
+        hinted = an_exact(W("0110"), lower_hint=2, searches=shared)
+        assert hinted == an_exact(W("0110"), lower_hint=2)
+        assert hinted.certificate.states_ruled_out == 1
+
+    @pytest.fixture
+    def level_searches(self, monkeypatch):
+        calls = []
+        search_levels = acx.complexity._search_levels
+
+        def counting(*args):
+            calls.append(args)
+            return search_levels(*args)
+
+        monkeypatch.setattr(acx.complexity, "_search_levels", counting)
+        return calls
+
+    def test_sharing_lasts_one_sweep(self, level_searches):
+        assert acx.experiments.sandwich_check(6).ok
+        assert len(level_searches) == 186
+        assert acx.experiments.sandwich_check(6).ok
+        assert len(level_searches) == 2 * 186
+        acx.modular.exact_values_binary(8)
+        assert len(level_searches) == 2 * 186 + 128
 
 
 def recording_executor(created: list):
