@@ -57,11 +57,21 @@ def hyde_bound(n: int) -> int:
 
 @dataclass(frozen=True)
 class SearchCertificate:
-    """Evidence that every smaller candidate was enumerated and rejected.
+    """Evidence that every smaller state count was ruled out.
 
-    search_nodes counts the extensions examined while exhausting the ruled
-    out state counts; the level that produced the witness is not included,
-    which keeps the number independent of the parallelism degree.
+    search_mode ``"path-induced"`` means that every level from the call's
+    first one up to the value was searched, and the witness is the least
+    path of the value level.  ``"factor-bracket"`` means that a sweep's
+    bracket (see an_exact) ruled out some level, or fixed the value,
+    without a search of this word; the witness is then still valid but
+    need not be the least one.  an_exact_full's results say
+    ``"full-enumeration"``.
+
+    search_nodes counts the extensions examined on the ruled out levels
+    that were searched; levels the bracket ruled out add nothing, and a
+    result read from the word's mirror carries the mirror's count.  The
+    level that produced the witness is not included, which keeps the
+    number independent of the parallelism degree.
     """
 
     states_ruled_out: int
@@ -112,9 +122,10 @@ class _LevelSearch:
     prune exact.
 
     One walker serves the sequential search, the subtree search below a
-    frontier prefix and the frontier scan of the parallel search.  A scan
-    to a given depth counts exactly the nodes above that depth, so frontier
-    nodes plus subtree nodes equal the sequential count at any depth.
+    frontier prefix and the frontier of the parallel search, which grows
+    one depth at a time from the previous one.  The frontier counts
+    exactly the nodes above its depth, so frontier nodes plus subtree
+    nodes equal the sequential count at any depth.
     """
 
     __slots__ = (
@@ -243,11 +254,32 @@ class _LevelSearch:
                 raise RuntimeError(f"frontier prefix {prefix} does not replay")
         return self._walk(len(prefix) - 1, max(prefix)), self.nodes
 
-    def frontier(self, depth: int) -> tuple[list[tuple[int, ...]], int]:
-        """Prune-surviving prefixes of the given length, in search order."""
-        self.stop = depth
+    def deepen(self, prefixes: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], int]:
+        """The prune-surviving one-step extensions of ``prefixes``, in search
+        order, and the nodes examined so far.
+
+        The prefixes are of one length and in search order, as a previous
+        call returns them.  The path retracts only to where the next prefix
+        differs from it and replays the rest, which examines no node, so
+        the count grows by the extensions tried at the new depth alone.
+        """
+        self.stop = len(prefixes[0])
         self.prefixes = []
-        self._walk(0, 0)
+        records = []
+        for prefix in prefixes:
+            keep = 1
+            while keep < len(self.path) and self.path[keep] == prefix[keep]:
+                keep += 1
+            while len(self.path) > keep:
+                self._retract(records.pop())
+            for target in prefix[keep:]:
+                record = self._extend(len(self.path) - 1, target)
+                if record is None:
+                    raise RuntimeError(f"frontier prefix {prefix} does not replay")
+                records.append(record)
+            self._walk(len(prefix) - 1, max(prefix))
+        while records:
+            self._retract(records.pop())
         return self.prefixes, self.nodes
 
 
@@ -263,15 +295,15 @@ def _search_subtree(args) -> tuple[Optional[tuple[int, ...]], int]:
 def _frontier(letters: Sequence[int], q: int, size: int) -> tuple[list[tuple[int, ...]], int]:
     """Prefixes to fan out, and the nodes examined above them.
 
-    The frontier deepens one letter at a time until it holds ``size``
-    prefixes, or until one letter more would leave fewer of them: a level
-    whose tree narrows would otherwise be rescanned to every depth.
+    The frontier deepens one letter at a time, each depth built from the
+    previous one, until it holds ``size`` prefixes, or until one letter
+    more would leave fewer of them: a level whose tree narrows would
+    otherwise be walked to every depth.
     """
-    prefixes, nodes = _LevelSearch(letters, q).frontier(1)
-    for depth in range(2, len(letters) + 1):
-        if len(prefixes) >= size:
-            break
-        deeper, deeper_nodes = _LevelSearch(letters, q).frontier(depth)
+    search = _LevelSearch(letters, q)
+    prefixes, nodes = search.deepen([(0,)])
+    while prefixes and len(prefixes) < size and len(prefixes[0]) <= len(letters):
+        deeper, deeper_nodes = search.deepen(prefixes)
         if len(deeper) < len(prefixes):
             break
         prefixes, nodes = deeper, deeper_nodes
@@ -344,6 +376,42 @@ def _search_levels(
     )
 
 
+def _bracketed_search(
+    searches: dict, letters: tuple[int, ...], ceiling: int, workers: int
+) -> tuple[int, tuple[int, ...], int, str]:
+    """An unhinted word's value, path, nodes and mode, decided from its
+    mirror or its two factors in ``searches`` where they are there.
+
+    ``letters`` are renamed in order of first occurrence, and ``ceiling``
+    is hyde_bound(len(letters)).
+    """
+    n = len(letters)
+    mirror = searches.get((_renamed_in_order(letters[::-1]), 1, ceiling))
+    if mirror is not None:
+        # reversed, the mirror's path is a witness but need not be the least
+        q, seq, nodes, _ = mirror
+        return q, _renamed_in_order(seq[::-1]), nodes, "factor-bracket"
+    if n:
+        factor_ceiling = hyde_bound(n - 1)
+        prefix = searches.get((letters[:-1], 1, factor_ceiling))
+        suffix = searches.get((_renamed_in_order(letters[1:]), 1, factor_ceiling))
+        if prefix is not None and suffix is not None:
+            lo = max(prefix[0], suffix[0])
+            hi = prefix[0] + 1
+            # from level 1, every level up to a witness found is searched
+            mode = "path-induced" if lo == 1 else "factor-bracket"
+            if hi > ceiling:
+                return (*_search_levels(letters, lo, ceiling, workers), mode)
+            nodes = 0
+            if lo < hi:
+                seq, nodes = _search_level(letters, lo)
+                if seq is not None:
+                    return lo, seq, 0, mode
+            return hi, prefix[1] + (hi - 1,), nodes, "factor-bracket"
+    q, seq, nodes = _search_levels(letters, 1, ceiling, workers)
+    return q, seq, nodes, "path-induced"
+
+
 def an_exact(
     word: Word,
     *,
@@ -371,11 +439,28 @@ def an_exact(
     The search compares letters only for equality, so a word and any
     renaming of its letters take the same canonical path with the same
     node counts at every level.  The dict maps (the letters renamed in
-    order of first occurrence, first level, ceiling) to the search's
-    outcome, and a word whose key is already there skips the search.  The
-    witness is still built from the word's own letters and re-checked, so
-    the result equals the one without ``searches``.  Pass a fresh dict per
-    sweep, so that it is freed when the sweep returns.
+    order of first occurrence, first level, ceiling) to the outcome:
+    value, path, nodes and search mode.  A word whose key is already there
+    takes that outcome.  A call without hints (levels 1 to floor(n/2)+1)
+    is first bracketed by what the dict holds, using A_N(u) <= A_N(uv),
+    A_N(ua) <= A_N(u) + 1 and A_N(reverse w) = A_N(w):
+
+    - if the word's reversal, renamed, is there, its path is read
+      backwards, with the states renamed in order of first occurrence;
+    - if both w[:-1] and w[1:] are there, lo = max of their values and
+      hi = A_N(w[:-1]) + 1 bound the value.  If hi <= floor(n/2)+1, level
+      lo alone is searched when lo < hi; a witness there gives lo, and
+      otherwise the value is hi with the prefix's path plus one new final
+      state.  If hi is above the ceiling, levels lo to the ceiling are
+      searched.
+
+    Any other call searches its levels in full.  The witness is always
+    built from the word's own letters and re-checked, and the value
+    equals the one without ``searches``.  A bracketed result may have
+    another witness than the least one; its certificate then says
+    ``"factor-bracket"``.  A sweep in order of length finds every word's
+    factors.  Pass a fresh dict per sweep, so that it is freed when the
+    sweep returns.
     """
     workers = worker_count(jobs)
     start = max(1, lower_hint if lower_hint is not None else 1)
@@ -384,19 +469,24 @@ def an_exact(
         ceiling = min(ceiling, upper_hint)
     if searches is None:
         q, seq, exhausted_nodes = _search_levels(word.letters, start, ceiling, workers)
+        mode = "path-induced"
     else:
         key = (_renamed_in_order(word.letters), start, ceiling)
         found = searches.get(key)
         if found is None:
-            found = searches[key] = _search_levels(key[0], start, ceiling, workers)
-        q, seq, exhausted_nodes = found
+            if start == 1 and ceiling == hyde_bound(len(word)):
+                found = _bracketed_search(searches, key[0], ceiling, workers)
+            else:
+                found = (*_search_levels(key[0], start, ceiling, workers), "path-induced")
+            searches[key] = found
+        q, seq, exhausted_nodes, mode = found
     witness = _witness_from_path(word, seq, q)
     if not uniquely_accepts(witness, word):
         raise RuntimeError(f"search produced a bad witness for {word}")
     certificate = SearchCertificate(
         states_ruled_out=q - start,
         search_nodes=exhausted_nodes,
-        search_mode="path-induced",
+        search_mode=mode,
     )
     return ComplexityResult(value=q, witness=witness, certificate=certificate)
 

@@ -249,6 +249,12 @@ class TestFractionOptions:
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def src_env() -> dict:
+    """The environment with the checkout's src/ first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestScriptUsageErrors:
     """The scripts parse options with the CLI's argparse types."""
 
@@ -263,17 +269,35 @@ class TestScriptUsageErrors:
     )
     def test_bad_option_is_usage_error(self, argv, message):
         script, *options = argv
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / script), *options],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=src_env(),
             timeout=60,
         )
         assert done.returncode == 2
         assert message in done.stderr
         assert "Traceback" not in done.stderr
+
+
+class TestModuleEntryPoint:
+    """``python -m acx`` runs cli.main and exits with its code."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(("table", "--max-c", "2", "--max-n", "3"), 0), (("primorial", "0"), 1)],
+    )
+    def test_python_m_acx(self, capsys, argv, code):
+        done = subprocess.run(
+            [sys.executable, "-m", "acx", *argv],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == run(capsys, *argv)[:2]
+        assert done.returncode == code
 
 
 class TestDomainErrors:

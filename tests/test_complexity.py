@@ -1,7 +1,7 @@
 import multiprocessing
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +10,7 @@ import acx.complexity
 import acx.experiments
 import acx.modular
 from acx.complexity import (
+    SearchCertificate,
     an_exact,
     an_exact_full,
     complexity_exceeds,
@@ -22,7 +23,7 @@ from acx.complexity import (
     worker_count,
 )
 from acx.errors import EmptyBase, NotAPower, SearchExhausted
-from acx.nfa import uniquely_accepts
+from acx.nfa import Nfa, uniquely_accepts
 from acx.words import Word
 from oracles import count_walks_oracle, path_induced_oracle
 
@@ -251,17 +252,69 @@ class TestParallelSearch:
         assert multiprocessing.active_children() == []
 
 
-class TestSharedSearch:
-    """One search per renaming class of letters within a sweep, and
-    results equal to the unshared search."""
+def sweep(k: int, n_max: int) -> list[Word]:
+    """Every word over [k] up to length n_max, in order of length."""
+    return [Word(l, k) for n in range(n_max + 1) for l in product(range(k), repeat=n)]
 
-    @pytest.mark.parametrize("k, n_max, searches", [(3, 6, 186), (2, 8, 256), (4, 5, 75)])
-    def test_same_results_one_search_per_class(self, k, n_max, searches):
+
+# (k, n_max, renaming classes): the three sweeps the shared search is
+# checked on
+SWEEPS = [(3, 6, 186), (2, 8, 256), (4, 5, 75)]
+
+
+@pytest.fixture(scope="module")
+def unshared():
+    """The unshared result of every word of the three sweeps."""
+    return {w: an_exact(w) for k, n_max, _ in SWEEPS for w in sweep(k, n_max)}
+
+
+def reversed_witness(nfa: Nfa) -> Nfa:
+    """Every edge reversed, the initial and the single final state swapped,
+    and the states renamed so that the new initial state is 0."""
+    (final,) = nfa.finals
+    order = [final] + [p for p in range(nfa.q) if p != final]
+    name = {p: i for i, p in enumerate(order)}
+    return Nfa(
+        q=nfa.q,
+        k=nfa.k,
+        transitions=frozenset((name[t], a, name[p]) for p, a, t in nfa.transitions),
+        finals=frozenset({name[nfa.initial]}),
+    )
+
+
+def renamed_states(nfa: Nfa, other: Nfa) -> bool:
+    """True iff ``other`` is ``nfa`` with its states other than 0 renamed."""
+    for rest in permutations(range(1, nfa.q)):
+        name = (0,) + rest
+        if other == Nfa(
+            q=nfa.q,
+            k=nfa.k,
+            transitions=frozenset((name[p], a, name[t]) for p, a, t in nfa.transitions),
+            finals=frozenset(name[f] for f in nfa.finals),
+        ):
+            return True
+    return False
+
+
+class TestSharedSearch:
+    """One dict entry per renaming class of letters within a sweep.  The
+    values equal the unshared search's; the factor bracket may give
+    another valid witness, so only a path-induced result has the
+    unshared one."""
+
+    @pytest.mark.parametrize("k, n_max, searches", SWEEPS)
+    def test_same_results_one_search_per_class(self, unshared, k, n_max, searches):
         shared: dict = {}
-        for n in range(n_max + 1):
-            for letters in product(range(k), repeat=n):
-                w = Word(letters, k)
-                assert an_exact(w, searches=shared) == an_exact(w), w
+        for w in sweep(k, n_max):
+            result = an_exact(w, searches=shared)
+            assert result.value == unshared[w].value, w
+            assert result.witness.q == result.value, w
+            assert uniquely_accepts(result.witness, w), w
+            assert result.certificate.states_ruled_out == result.value - 1, w
+            if result.certificate.search_mode == "path-induced":
+                assert result == unshared[w], w
+            else:
+                assert result.certificate.search_mode == "factor-bracket", w
         assert len(shared) == searches
 
     def test_hints_are_part_of_the_key(self):
@@ -276,22 +329,125 @@ class TestSharedSearch:
     @pytest.fixture
     def level_searches(self, monkeypatch):
         calls = []
-        search_levels = acx.complexity._search_levels
+        search_level = acx.complexity._search_level
 
         def counting(*args):
             calls.append(args)
-            return search_levels(*args)
+            return search_level(*args)
 
-        monkeypatch.setattr(acx.complexity, "_search_levels", counting)
+        monkeypatch.setattr(acx.complexity, "_search_level", counting)
         return calls
 
     def test_sharing_lasts_one_sweep(self, level_searches):
+        # all 1093 ternary words up to length 6, bracketed by their factors
         assert acx.experiments.sandwich_check(6).ok
-        assert len(level_searches) == 186
+        assert len(level_searches) == 101
         assert acx.experiments.sandwich_check(6).ok
-        assert len(level_searches) == 2 * 186
+        assert len(level_searches) == 2 * 101
+        del level_searches[:]
         acx.modular.exact_values_binary(8)
-        assert len(level_searches) == 2 * 186 + 128
+        # a fresh dict holds no factors of length 7
+        assert len(level_searches) == 302
+        del level_searches[:]
+        # one dict across all lengths: every word of length n >= 1 finds
+        # both its factors
+        acx.modular.table_best_bound(6, 8)
+        assert len(level_searches) == 138
+
+
+class TestFactorBracket:
+    """The three facts the bracket rests on, and the calls that take each
+    of its branches."""
+
+    @pytest.mark.parametrize("k, n_max", [(k, n_max) for k, n_max, _ in SWEEPS])
+    def test_three_facts(self, unshared, k, n_max):
+        for w in sweep(k, n_max):
+            value = unshared[w].value
+            assert unshared[Word(w.letters[::-1], k)].value == value, w
+            if w.letters:
+                prefix = unshared[Word(w.letters[:-1], k)].value
+                suffix = unshared[Word(w.letters[1:], k)].value
+                assert max(prefix, suffix) <= value <= prefix + 1, w
+
+    @pytest.mark.parametrize("k, n_max", [(k, n_max) for k, n_max, _ in SWEEPS])
+    def test_ceiling_case(self, unshared, k, n_max):
+        """Words whose prefix value plus one is above hyde_bound(n) search
+        up to the ceiling instead of taking the prefix's path."""
+        shared: dict = {}
+        ceiling_words = 0
+        for w in sweep(k, n_max):
+            result = an_exact(w, searches=shared)
+            n = len(w)
+            if n and unshared[Word(w.letters[:-1], k)].value + 1 > hyde_bound(n):
+                ceiling_words += 1
+                assert result.value == unshared[w].value <= hyde_bound(n), w
+                assert result.witness.q == result.value, w
+        assert ceiling_words > 0
+
+    def test_ceiling_case_010(self):
+        shared: dict = {}
+        for w in sweep(2, 2):
+            an_exact(w, searches=shared)
+        # A_N(01) + 1 = 3 > hyde_bound(3) = 2, and A_N(01) = A_N(10) = 2:
+        # only level 2 is searched, and it holds the witness
+        result = an_exact(W("010"), searches=shared)
+        assert result.value == 2
+        assert result.witness.q == 2
+        assert result.certificate.search_nodes == 0
+        assert result.certificate.search_mode == "factor-bracket"
+
+    def test_exhausted_level_gives_prefix_path_plus_one(self):
+        shared: dict = {}
+        for w in sweep(2, 3):
+            an_exact(w, searches=shared)
+        # A_N(011) = A_N(110) = 2 and hyde_bound(4) = 3: level 2 alone is
+        # searched, is exhausted, and the value is 3
+        result = an_exact(W("0110"), searches=shared)
+        level_2_nodes = acx.complexity._search_level((0, 1, 1, 0), 2)[1]
+        assert result.certificate == SearchCertificate(
+            states_ruled_out=2, search_nodes=level_2_nodes, search_mode="factor-bracket"
+        )
+        assert level_2_nodes < an_exact(W("0110")).certificate.search_nodes
+        prefix = an_exact(W("011"), searches=shared).witness
+        (end,) = prefix.finals
+        assert result.witness == Nfa(
+            q=3, k=2, transitions=prefix.transitions | {(end, 0, 2)}, finals={2}
+        )
+
+    def test_hinted_call_bypasses_the_bracket(self):
+        shared: dict = {}
+        for w in sweep(2, 3):
+            an_exact(w, searches=shared)
+        hinted = an_exact(W("0110"), lower_hint=2, searches=shared)
+        assert hinted == an_exact(W("0110"), lower_hint=2)
+        assert hinted.certificate.search_mode == "path-induced"
+        # 010 and 101 are there, but the cap 2 is below hyde_bound(4) = 3
+        capped = an_exact(W("0101"), upper_hint=2, searches=shared)
+        assert capped == an_exact(W("0101"), upper_hint=2)
+        assert capped.certificate.search_mode == "path-induced"
+
+    def test_missing_prefix_bypasses_the_bracket(self):
+        shared: dict = {}
+        # the suffix 110 (renamed 001) is there, the prefix 011 is not
+        an_exact(W("001"), searches=shared)
+        result = an_exact(W("0110"), searches=shared)
+        assert result == an_exact(W("0110"))
+        assert result.certificate.search_mode == "path-induced"
+
+    def test_mirror_witness(self):
+        shared: dict = {}
+        mirror = an_exact(W("0100"), searches=shared)
+        result = an_exact(W("0010"), searches=shared)
+        assert result.value == mirror.value == 3
+        assert result.certificate == SearchCertificate(
+            states_ruled_out=2,
+            search_nodes=mirror.certificate.search_nodes,
+            search_mode="factor-bracket",
+        )
+        assert renamed_states(reversed_witness(mirror.witness), result.witness)
+        assert uniquely_accepts(result.witness, W("0010"))
+        # the mirror's path is not the least one for 0010
+        assert result.witness != an_exact(W("0010")).witness
 
 
 def recording_executor(created: list):

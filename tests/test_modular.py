@@ -12,6 +12,7 @@ from acx.modular import (
     avg_gap_check,
     build_low_complexity_word,
     chebyshev_theta,
+    exact_values_binary,
     find_modulus,
     format_table,
     primorial,
@@ -248,6 +249,15 @@ class TestBestBoundTable:
         for n in range(5):
             defined = [row[n] for row in table if row[n] is not None]
             assert defined == sorted(defined)
+
+    def test_exact_values_with_one_dict_across_lengths(self):
+        shared: dict = {}
+        for n in range(9):
+            values = exact_values_binary(n, shared)
+            assert values == [
+                an_exact(Word(tuple((index >> i) & 1 for i in range(n)), 2)).value
+                for index in range(1 << n)
+            ]
 
     def test_formatting(self):
         table = table_best_bound(2, 2)
