@@ -400,8 +400,6 @@ def _bracketed_search(
             hi = prefix[0] + 1
             # from level 1, every level up to a witness found is searched
             mode = "path-induced" if lo == 1 else "factor-bracket"
-            if hi > ceiling:
-                return (*_search_levels(letters, lo, ceiling, workers), mode)
             nodes = 0
             if lo < hi:
                 seq, nodes = _search_level(letters, lo)
@@ -448,11 +446,11 @@ def an_exact(
     - if the word's reversal, renamed, is there, its path is read
       backwards, with the states renamed in order of first occurrence;
     - if both w[:-1] and w[1:] are there, lo = max of their values and
-      hi = A_N(w[:-1]) + 1 bound the value.  If hi <= floor(n/2)+1, level
-      lo alone is searched when lo < hi; a witness there gives lo, and
-      otherwise the value is hi with the prefix's path plus one new final
-      state.  If hi is above the ceiling, levels lo to the ceiling are
-      searched.
+      hi = A_N(w[:-1]) + 1 bound the value.  Level lo alone is searched
+      when lo < hi; a witness there gives lo, and otherwise the value is
+      hi with the prefix's path plus one new final state.  When hi exceeds
+      floor(n/2)+1, lo already equals floor(n/2)+1, so level lo is
+      searched, and Hyde's bound puts a witness there.
 
     Any other call searches its levels in full.  The witness is always
     built from the word's own letters and re-checked, and the value

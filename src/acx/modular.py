@@ -279,17 +279,15 @@ def avg_gap_check(values: Sequence[float]) -> AvgGapReport:
     return AvgGapReport(average=float(average), bound=float(bound), ok=average <= bound)
 
 
-def exact_values_binary(n: int, searches: Optional[dict] = None) -> list[int]:
+def exact_values_binary(n: int, searches: dict) -> list[int]:
     """A_N over all binary words of length n, indexed by bitmask (LSB first).
 
-    ``searches`` is an_exact's shared-search dict; a fresh one is used when
-    it is not given.  A sweep over n = 0, 1, 2, ... that passes one dict
-    to every call lets each word be bracketed by its factors of length
-    n - 1 (see an_exact), which the previous call left in the dict.
+    ``searches`` is an_exact's shared-search dict.  A sweep over
+    n = 0, 1, 2, ... that passes one dict to every call lets each word be
+    bracketed by its factors of length n - 1 (see an_exact), which the
+    previous call left in the dict.
     """
     values = []
-    if searches is None:
-        searches = {}
     for index in range(1 << n):
         letters = tuple((index >> i) & 1 for i in range(n))
         values.append(an_exact(Word(letters, 2), searches=searches).value)

@@ -345,7 +345,7 @@ class TestSharedSearch:
         assert acx.experiments.sandwich_check(6).ok
         assert len(level_searches) == 2 * 101
         del level_searches[:]
-        acx.modular.exact_values_binary(8)
+        acx.modular.exact_values_binary(8, {})
         # a fresh dict holds no factors of length 7
         assert len(level_searches) == 302
         del level_searches[:]
@@ -371,8 +371,8 @@ class TestFactorBracket:
 
     @pytest.mark.parametrize("k, n_max", [(k, n_max) for k, n_max, _ in SWEEPS])
     def test_ceiling_case(self, unshared, k, n_max):
-        """Words whose prefix value plus one is above hyde_bound(n) search
-        up to the ceiling instead of taking the prefix's path."""
+        """Words whose prefix value plus one is above hyde_bound(n) find
+        their witness at level lo, which then equals hyde_bound(n)."""
         shared: dict = {}
         ceiling_words = 0
         for w in sweep(k, n_max):
@@ -380,7 +380,7 @@ class TestFactorBracket:
             n = len(w)
             if n and unshared[Word(w.letters[:-1], k)].value + 1 > hyde_bound(n):
                 ceiling_words += 1
-                assert result.value == unshared[w].value <= hyde_bound(n), w
+                assert result.value == unshared[w].value == hyde_bound(n), w
                 assert result.witness.q == result.value, w
         assert ceiling_words > 0
 
