@@ -13,7 +13,6 @@ from .complexity import (
     PowerBound,
     SearchCertificate,
     an_exact,
-    an_exact_full,
     complexity_exceeds,
     cyclic_witness,
     full_enumeration_minima,

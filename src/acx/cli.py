@@ -414,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gf2)
 
     p = sub.add_parser("survey", help="empirical concentration of A_N on random words")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--samples", type=_positive, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=_fraction, default="1/3", help="tolerance as p/q")
     p.add_argument("--alphabet", type=int, default=2)

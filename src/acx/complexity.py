@@ -59,13 +59,12 @@ def hyde_bound(n: int) -> int:
 class SearchCertificate:
     """Evidence that every smaller state count was ruled out.
 
-    search_mode ``"path-induced"`` means that every level from the call's
-    first one up to the value was searched, and the witness is the least
-    path of the value level.  ``"factor-bracket"`` means that a sweep's
-    bracket (see an_exact) ruled out some level, or fixed the value,
-    without a search of this word; the witness is then still valid but
-    need not be the least one.  an_exact_full's results say
-    ``"full-enumeration"``.
+    search_mode ``"path-induced"`` means that every level from 1 up to the
+    value was searched, and the witness is the least path of the value
+    level.  ``"factor-bracket"`` means that a sweep's bracket (see
+    an_exact) ruled out some level, or fixed the value, without a search
+    of this word; the witness is then still valid but need not be the
+    least one.
 
     search_nodes counts the extensions examined on the ruled out levels
     that were searched; levels the bracket ruled out add nothing, and a
@@ -346,19 +345,21 @@ def _renamed_in_order(letters: Sequence[int]) -> tuple[int, ...]:
 
 
 def _search_levels(
-    letters: Sequence[int], start: int, ceiling: int, workers: int
+    letters: Sequence[int], workers: int
 ) -> tuple[int, tuple[int, ...], int]:
-    """The least state count in [start, ceiling] with a surviving path, that
-    path, and the nodes examined on the exhausted levels below it.
+    """The least state count with a surviving path, that path, and the
+    nodes examined on the exhausted levels below it.
 
+    Levels run from 1 to hyde_bound(n), where Hyde's bound puts a witness.
     Starts at most one pool, for the levels after one that exhausted
     _FAN_OUT_NODES nodes, and shuts it down before it returns.
     """
+    ceiling = hyde_bound(len(letters))
     exhausted_nodes = 0
     level_nodes = 0
     pool = None
     try:
-        for q in range(start, ceiling + 1):
+        for q in range(1, ceiling + 1):
             if workers > 1 and level_nodes >= _FAN_OUT_NODES:
                 if pool is None:
                     pool = ProcessPoolExecutor(max_workers=workers)
@@ -372,29 +373,26 @@ def _search_levels(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     raise SearchExhausted(
-        f"no witness with at most {ceiling} states; the given upper_hint was wrong"
+        f"no witness with at most {ceiling} states, against Hyde's bound"
     )
 
 
 def _bracketed_search(
-    searches: dict, letters: tuple[int, ...], ceiling: int, workers: int
+    searches: dict, letters: tuple[int, ...], workers: int
 ) -> tuple[int, tuple[int, ...], int, str]:
-    """An unhinted word's value, path, nodes and mode, decided from its
-    mirror or its two factors in ``searches`` where they are there.
+    """A word's value, path, nodes and mode, decided from its mirror or its
+    two factors in ``searches`` where they are there.
 
-    ``letters`` are renamed in order of first occurrence, and ``ceiling``
-    is hyde_bound(len(letters)).
+    ``letters`` are renamed in order of first occurrence.
     """
-    n = len(letters)
-    mirror = searches.get((_renamed_in_order(letters[::-1]), 1, ceiling))
+    mirror = searches.get(_renamed_in_order(letters[::-1]))
     if mirror is not None:
         # reversed, the mirror's path is a witness but need not be the least
         q, seq, nodes, _ = mirror
         return q, _renamed_in_order(seq[::-1]), nodes, "factor-bracket"
-    if n:
-        factor_ceiling = hyde_bound(n - 1)
-        prefix = searches.get((letters[:-1], 1, factor_ceiling))
-        suffix = searches.get((_renamed_in_order(letters[1:]), 1, factor_ceiling))
+    if letters:
+        prefix = searches.get(letters[:-1])
+        suffix = searches.get(_renamed_in_order(letters[1:]))
         if prefix is not None and suffix is not None:
             lo = max(prefix[0], suffix[0])
             hi = prefix[0] + 1
@@ -406,25 +404,22 @@ def _bracketed_search(
                 if seq is not None:
                     return lo, seq, 0, mode
             return hi, prefix[1] + (hi - 1,), nodes, "factor-bracket"
-    q, seq, nodes = _search_levels(letters, 1, ceiling, workers)
+    q, seq, nodes = _search_levels(letters, workers)
     return q, seq, nodes, "path-induced"
 
 
 def an_exact(
     word: Word,
     *,
-    lower_hint: Optional[int] = None,
-    upper_hint: Optional[int] = None,
     jobs: int = 1,
     searches: Optional[dict] = None,
 ) -> ComplexityResult:
     """Exact A_N with a uniquely-accepting witness and exhaustion certificate.
 
-    Levels are searched in ascending state count; the first level with a
+    Levels are searched in ascending state count from 1 up to Hyde's bound
+    floor(n/2)+1, which always admits a witness; the first level with a
     witness is the answer, and the returned witness is the one with the
-    lexicographically least canonical state sequence.  upper_hint, when
-    given, must be a valid upper bound (for example from power_upper_bound);
-    the default ceiling floor(n/2)+1 always admits a witness.
+    lexicographically least canonical state sequence.
 
     With ``jobs`` > 1 (capped by worker_count) a level is searched across
     worker processes once the level below it exhausted at least
@@ -436,12 +431,11 @@ def an_exact(
     ``searches``, when given, is a dict that the calls of one sweep share.
     The search compares letters only for equality, so a word and any
     renaming of its letters take the same canonical path with the same
-    node counts at every level.  The dict maps (the letters renamed in
-    order of first occurrence, first level, ceiling) to the outcome:
-    value, path, nodes and search mode.  A word whose key is already there
-    takes that outcome.  A call without hints (levels 1 to floor(n/2)+1)
-    is first bracketed by what the dict holds, using A_N(u) <= A_N(uv),
-    A_N(ua) <= A_N(u) + 1 and A_N(reverse w) = A_N(w):
+    node counts at every level.  The dict maps the letters renamed in
+    order of first occurrence to the outcome: value, path, nodes and
+    search mode.  A word whose key is already there takes that outcome.
+    Any other word is first bracketed by what the dict holds, using
+    A_N(u) <= A_N(uv), A_N(ua) <= A_N(u) + 1 and A_N(reverse w) = A_N(w):
 
     - if the word's reversal, renamed, is there, its path is read
       backwards, with the states renamed in order of first occurrence;
@@ -452,7 +446,7 @@ def an_exact(
       floor(n/2)+1, lo already equals floor(n/2)+1, so level lo is
       searched, and Hyde's bound puts a witness there.
 
-    Any other call searches its levels in full.  The witness is always
+    A word with neither searches its levels in full.  The witness is always
     built from the word's own letters and re-checked, and the value
     equals the one without ``searches``.  A bracketed result may have
     another witness than the least one; its certificate then says
@@ -461,28 +455,20 @@ def an_exact(
     sweep returns.
     """
     workers = worker_count(jobs)
-    start = max(1, lower_hint if lower_hint is not None else 1)
-    ceiling = hyde_bound(len(word))
-    if upper_hint is not None:
-        ceiling = min(ceiling, upper_hint)
     if searches is None:
-        q, seq, exhausted_nodes = _search_levels(word.letters, start, ceiling, workers)
+        q, seq, exhausted_nodes = _search_levels(word.letters, workers)
         mode = "path-induced"
     else:
-        key = (_renamed_in_order(word.letters), start, ceiling)
+        key = _renamed_in_order(word.letters)
         found = searches.get(key)
         if found is None:
-            if start == 1 and ceiling == hyde_bound(len(word)):
-                found = _bracketed_search(searches, key[0], ceiling, workers)
-            else:
-                found = (*_search_levels(key[0], start, ceiling, workers), "path-induced")
-            searches[key] = found
+            found = searches[key] = _bracketed_search(searches, key, workers)
         q, seq, exhausted_nodes, mode = found
     witness = _witness_from_path(word, seq, q)
     if not uniquely_accepts(witness, word):
         raise RuntimeError(f"search produced a bad witness for {word}")
     certificate = SearchCertificate(
-        states_ruled_out=q - start,
+        states_ruled_out=q - 1,
         search_nodes=exhausted_nodes,
         search_mode=mode,
     )
@@ -633,69 +619,3 @@ def _extract_unique_walk(edges, rows, n: int, final: int) -> tuple[int, ...]:
             raise AssertionError("unique walk extraction lost the walk")
     letters.reverse()
     return tuple(letters)
-
-
-def an_exact_full(word: Word, q_cap: int = 3) -> ComplexityResult:
-    """A_N by per-word full enumeration; only feasible for tiny words.
-
-    Exists as the independent route for cross-checking the path-induced
-    search.  Raises SearchExhausted when the word needs more than q_cap
-    states.
-    """
-    n = len(word)
-    letters = word.letters
-    k = word.k
-    ceiling = min(q_cap, hyde_bound(n))
-    exhausted_nodes = 0
-    for q in range(1, ceiling + 1):
-        edges_all = [(p, a, t) for p in range(q) for a in range(k) for t in range(q)]
-        n_edges = len(edges_all)
-        if n_edges > 20:
-            raise ValueError(f"transition space 2^{n_edges} too large to enumerate")
-        found = None
-        nodes = 0
-        for mask in range(1 << n_edges):
-            nodes += 1
-            edges = []
-            m = mask
-            while m:
-                low = m & -m
-                edges.append(edges_all[low.bit_length() - 1])
-                m ^= low
-            counts = [0] * q
-            counts[0] = 1
-            reach = 1
-            for a in letters:
-                step = [0] * q
-                reach_step = 0
-                for p, b, t in edges:
-                    c = counts[p]
-                    if c:
-                        v = step[t] + c
-                        step[t] = v if v < 2 else 2
-                    if b == a and (reach >> p) & 1:
-                        reach_step |= 1 << t
-                counts = step
-                reach = reach_step
-            for f in range(q):
-                if counts[f] == 1 and (reach >> f) & 1:
-                    found = Nfa(
-                        q=q, k=k,
-                        transitions=frozenset(edges),
-                        finals=frozenset({f}),
-                    )
-                    break
-            if found is not None:
-                break
-        if found is None:
-            exhausted_nodes += nodes
-            continue
-        if not uniquely_accepts(found, word):
-            raise RuntimeError("full enumeration produced a bad witness")
-        certificate = SearchCertificate(
-            states_ruled_out=q - 1,
-            search_nodes=exhausted_nodes,
-            search_mode="full-enumeration",
-        )
-        return ComplexityResult(value=q, witness=found, certificate=certificate)
-    raise SearchExhausted(f"no witness with at most {ceiling} states")

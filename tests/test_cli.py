@@ -1,12 +1,13 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from acx.cli import main
+from acx.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -221,6 +222,8 @@ class TestUsageErrors:
             ("survey", "--n", "4", "--jobs", "0"),
             ("survey", "--n", "4", "--jobs", "-3"),
             ("verify", "--suite", "sandwich", "--n-max", "-2"),
+            ("survey", "--n", "0"),
+            ("survey", "--n", "4", "--samples", "0"),
         ],
     )
     def test_out_of_range_integer_option(self, capsys, argv):
@@ -228,6 +231,19 @@ class TestUsageErrors:
             main(list(argv))
         assert exc.value.code == 2
         assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "01", "--jobs", "x"),
+            ("survey", "--n", "4,x"),
+        ],
+    )
+    def test_non_integer_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "expected an integer" in capsys.readouterr().err
 
 
 class TestFractionOptions:
@@ -255,30 +271,38 @@ def src_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
-class TestScriptUsageErrors:
-    """The scripts parse options with the CLI's argparse types."""
+def readme_commands() -> list[str]:
+    """Every ``acx`` command in README's fenced blocks, with lines continued
+    by a backslash joined."""
+    commands = []
+    fenced = False
+    pending = ""
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+            continue
+        if not fenced:
+            continue
+        if pending or line.startswith("acx "):
+            pending += line.rstrip().removesuffix("\\")
+            if not line.rstrip().endswith("\\"):
+                commands.append(pending)
+                pending = ""
+    return commands
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (("make_table.py", "--max-c", "-1"), "must be at least 0"),
-            (("run_survey.py", "--eps", "1/0"), "expected a fraction"),
-            (("run_survey.py", "--lengths", "4,x"), "expected an integer"),
-            (("run_survey.py", "--samples", "0"), "must be at least 1"),
-        ],
-    )
-    def test_bad_option_is_usage_error(self, argv, message):
-        script, *options = argv
-        done = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / script), *options],
-            capture_output=True,
-            text=True,
-            env=src_env(),
-            timeout=60,
-        )
-        assert done.returncode == 2
-        assert message in done.stderr
-        assert "Traceback" not in done.stderr
+
+class TestReadmeCommands:
+    def test_every_command_parses(self):
+        commands = readme_commands()
+        assert len(commands) >= 20
+        parser = build_parser()
+        for command in commands:
+            argv = shlex.split(command, comments=True)
+            assert argv[0] == "acx", command
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}")
 
 
 class TestModuleEntryPoint:

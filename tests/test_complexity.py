@@ -12,7 +12,6 @@ import acx.modular
 from acx.complexity import (
     SearchCertificate,
     an_exact,
-    an_exact_full,
     complexity_exceeds,
     cyclic_witness,
     full_enumeration_minima,
@@ -22,7 +21,7 @@ from acx.complexity import (
     power_upper_bound,
     worker_count,
 )
-from acx.errors import EmptyBase, NotAPower, SearchExhausted
+from acx.errors import EmptyBase, NotAPower
 from acx.nfa import Nfa, uniquely_accepts
 from acx.words import Word
 from oracles import count_walks_oracle, path_induced_oracle
@@ -108,35 +107,6 @@ class TestAnExact:
         parallel = an_exact(w, jobs=2)
         assert sequential == parallel
 
-    def test_lower_hint_skips_levels(self):
-        w = W("0110")
-        hinted = an_exact(w, lower_hint=2)
-        assert hinted.value == 3
-        assert hinted.certificate.states_ruled_out == 1
-
-    def test_bad_upper_hint_raises(self):
-        with pytest.raises(SearchExhausted):
-            an_exact(W("0110"), upper_hint=2)
-
-    def test_full_enumeration_mode(self):
-        for text in ("", "0", "01", "010", "0101"):
-            w = W(text, k=2)
-            result = an_exact_full(w)
-            assert result.value == an_exact(w).value
-            assert result.certificate.search_mode == "full-enumeration"
-            assert uniquely_accepts(result.witness, w)
-
-    def test_full_enumeration_cap_exhausts(self):
-        # any length-6 word at the universal bound needs four states
-        for letters in product((0, 1), repeat=6):
-            w = Word(letters, 2)
-            if an_exact(w).value == 4:
-                with pytest.raises(SearchExhausted):
-                    an_exact_full(w, q_cap=3)
-                break
-        else:
-            pytest.fail("no length-6 word at the universal bound")
-
     def test_path_induced_equals_full_enumeration_small(self):
         minima = full_enumeration_minima(2, 4, 3)
         for n in range(5):
@@ -214,6 +184,19 @@ class TestKernelInvariants:
             w = Word(letters, 3)
             result = an_exact(w)
             assert (result.value, result.witness) == path_induced_oracle(w), w
+
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=8, max_size=8))
+        )
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_naive_oracle_length_eight(self, drawn):
+        # length 8 reaches A_N = 5, one level above the exhaustive checks
+        k, letters = drawn
+        w = Word(tuple(letters), k)
+        result = an_exact(w)
+        assert (result.value, result.witness) == path_induced_oracle(w), w
 
 
 class TestParallelSearch:
@@ -317,15 +300,6 @@ class TestSharedSearch:
                 assert result.certificate.search_mode == "factor-bracket", w
         assert len(shared) == searches
 
-    def test_hints_are_part_of_the_key(self):
-        shared: dict = {}
-        assert an_exact(W("0110"), searches=shared).value == 3
-        with pytest.raises(SearchExhausted):
-            an_exact(W("0110"), upper_hint=2, searches=shared)
-        hinted = an_exact(W("0110"), lower_hint=2, searches=shared)
-        assert hinted == an_exact(W("0110"), lower_hint=2)
-        assert hinted.certificate.states_ruled_out == 1
-
     @pytest.fixture
     def level_searches(self, monkeypatch):
         calls = []
@@ -413,18 +387,6 @@ class TestFactorBracket:
         assert result.witness == Nfa(
             q=3, k=2, transitions=prefix.transitions | {(end, 0, 2)}, finals={2}
         )
-
-    def test_hinted_call_bypasses_the_bracket(self):
-        shared: dict = {}
-        for w in sweep(2, 3):
-            an_exact(w, searches=shared)
-        hinted = an_exact(W("0110"), lower_hint=2, searches=shared)
-        assert hinted == an_exact(W("0110"), lower_hint=2)
-        assert hinted.certificate.search_mode == "path-induced"
-        # 010 and 101 are there, but the cap 2 is below hyde_bound(4) = 3
-        capped = an_exact(W("0101"), upper_hint=2, searches=shared)
-        assert capped == an_exact(W("0101"), upper_hint=2)
-        assert capped.certificate.search_mode == "path-induced"
 
     def test_missing_prefix_bypasses_the_bracket(self):
         shared: dict = {}
