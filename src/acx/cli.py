@@ -58,8 +58,12 @@ def _parse_word(text: str, alphabet: Optional[int]) -> words.Word:
 
 def _write_dot(path: Optional[str], automaton: nfa.Nfa) -> None:
     if path:
-        with open(path, "w") as handle:
-            handle.write(nfa.to_dot(automaton))
+        text = nfa.to_dot(automaton)
+        try:
+            with open(path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise AcxError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _cmd_compute(args) -> int:

@@ -33,11 +33,15 @@ from .words import Rational, Word, as_fraction, contains_alpha_power
 _OLD_EDGE = ("old",)
 
 # an_exact searches a level in parallel once the level below it exhausted
-# this many nodes; a cheaper level does not repay the pool's start-up
-_FAN_OUT_NODES = 4096
+# this many nodes; a cheaper level does not repay the pool's start-up and
+# the round trips of its tasks
+_FAN_OUT_NODES = 65536
 # the frontier's target size per worker, so that no subtree is a large
 # share of a level
-_PREFIXES_PER_WORKER = 64
+_PREFIXES_PER_WORKER = 128
+# frontier prefixes sent to a worker in one task: a task's round trip
+# through the pool costs about as much as a small subtree
+_PREFIXES_PER_TASK = 8
 
 
 def worker_count(jobs: int) -> int:
@@ -106,19 +110,23 @@ class _LevelSearch:
 
     The committed transitions are held once, as ``labels[p][t]``: the
     bitmask of the letters on the edge p -> t, which also answers whether a
-    step reuses a committed transition.  Two per-source target masks follow
-    it on every commit and undo: ``out_any[p]``, the targets with at least
-    one letter, and ``out_multi[p]``, those with two or more.
+    step reuses a committed transition.  Three masks follow it on every
+    commit and undo: ``out_any[p]``, the targets of p with at least one
+    letter, ``out_multi[p]``, those with two or more, and ``in_any[t]``,
+    the sources with at least one letter into t.
 
     Walk counts, capped at two, live in one (m1, m2) row per path position:
     the states reached by at least one walk of that length, and by at least
     two.  A step walks the set bits p of m1; a target of p gets a second
     walk if an earlier p already reached it, if two letters lead there from
     p, or if p itself has two walks.  Reusing a transition appends one row.
-    Committing a new one leaves the rows before the first that reaches its
-    source as they are and rebuilds the rest into a fresh list; the undo
-    record keeps the old list, so an undo restores it whole.  Both keep the
-    prune exact.
+    A new transition is first tested in O(1) against ``in_any`` (see
+    _extend), which cuts most of them.  Committing one that passes leaves
+    the rows before the first that reaches its source as they are and
+    rebuilds the rest into a fresh list, stopping at the first row with a
+    second walk into the path; the undo record keeps the old list, so an
+    undo restores it whole.  Each cut is one that the full rebuild would
+    make, so the prune stays exact.
 
     One walker serves the sequential search, the subtree search below a
     frontier prefix and the frontier of the parallel search, which grows
@@ -128,7 +136,7 @@ class _LevelSearch:
     """
 
     __slots__ = (
-        "letters", "n", "q", "labels", "out_any", "out_multi",
+        "letters", "n", "q", "labels", "out_any", "out_multi", "in_any",
         "rows", "path", "nodes", "stop", "prefixes",
     )
 
@@ -139,6 +147,7 @@ class _LevelSearch:
         self.labels = [[0] * q for _ in range(q)]
         self.out_any = [0] * q
         self.out_multi = [0] * q
+        self.in_any = [0] * q
         self.rows: list[tuple[int, int]] = [(1, 0)]
         self.path: list[int] = [0]
         self.nodes = 0
@@ -167,15 +176,26 @@ class _LevelSearch:
         bit = 1 << target
         if labels:
             self.out_any[source] |= bit
+            self.in_any[target] |= 1 << source
         else:
             self.out_any[source] &= ~bit
+            self.in_any[target] &= ~(1 << source)
         if labels & (labels - 1):
             self.out_multi[source] |= bit
         else:
             self.out_multi[source] &= ~bit
 
     def _extend(self, depth: int, target: int):
-        """Commit one step of the path; returns an undo record or None if pruned."""
+        """Commit one step of the path; returns an undo record or None if pruned.
+
+        A new transition source -> target is cut before it is committed when
+        a state reached by a walk of length ``depth`` already has an edge
+        into target: that walk and edge, and the path's own walk through
+        the new transition, are two walks of length depth + 1 into target.
+        Otherwise the rows are rebuilt with the transition, and the step is
+        cut at the first rebuilt row i with two walks into ``path[i]`` (or
+        into target at the end), since the path carries both on to target.
+        """
         source = self.path[depth]
         old = self.labels[source][target]
         letter = 1 << self.letters[depth]
@@ -187,6 +207,8 @@ class _LevelSearch:
             rows.append(row)
             self.path.append(target)
             return _OLD_EDGE
+        if rows[-1][0] & self.in_any[target]:
+            return None
         self._relabel(source, target, old | letter)
         bit = 1 << source
         first = 0
@@ -195,14 +217,16 @@ class _LevelSearch:
         fresh = rows[: first + 1]
         row = fresh[-1]
         step = self._step
-        for _ in range(depth - first + 1):
+        path = self.path
+        path.append(target)
+        for i in range(first + 1, depth + 2):
             row = step(row)
+            if (row[1] >> path[i]) & 1:
+                path.pop()
+                self._relabel(source, target, old)
+                return None
             fresh.append(row)
-        if (row[1] >> target) & 1:
-            self._relabel(source, target, old)
-            return None
         self.rows = fresh
-        self.path.append(target)
         return (source, target, old, rows)
 
     def _retract(self, record) -> None:
@@ -316,11 +340,15 @@ def _search_level_parallel(
 
     Results are read in prefix order, so the first hit is the
     lexicographically least witness; closing the result iterator there
-    cancels the subtrees not yet started.  On an exhausted level the
+    cancels the tasks not yet started.  On an exhausted level the
     frontier nodes plus the subtree nodes equal the sequential count.
     """
     prefixes, total = _frontier(letters, q, _PREFIXES_PER_WORKER * workers)
-    results = pool.map(_search_subtree, [(letters, q, prefix) for prefix in prefixes])
+    results = pool.map(
+        _search_subtree,
+        [(letters, q, prefix) for prefix in prefixes],
+        chunksize=_PREFIXES_PER_TASK,
+    )
     try:
         for seq, nodes in results:
             total += nodes
@@ -423,10 +451,11 @@ def an_exact(
 
     With ``jobs`` > 1 (capped by worker_count) a level is searched across
     worker processes once the level below it exhausted at least
-    _FAN_OUT_NODES nodes.  The gate counts nodes, not time, so whether a
-    call fans out depends on the word alone; the call starts at most one
-    pool and shuts it down before it returns.  Value, witness and
-    certificate are identical at any ``jobs``.
+    _FAN_OUT_NODES nodes, and sent to them _PREFIXES_PER_TASK frontier
+    prefixes a task.  The gate counts nodes, not time, so whether a call
+    fans out depends on the word alone; the call starts at most one pool
+    and shuts it down before it returns.  Value, witness and certificate
+    are identical at any ``jobs``.
 
     ``searches``, when given, is a dict that the calls of one sweep share.
     The search compares letters only for equality, so a word and any

@@ -342,6 +342,21 @@ class TestDomainErrors:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "0110"),
+            ("bound", "0110"),
+            ("construct", "--n", "4", "--positions", "1", "--bits", "1"),
+        ],
+    )
+    def test_unwritable_dot_path(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "witness.dot"
+        code, out, err = run(capsys, *argv, "--dot", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write ") and str(path) in err
+
 
 class TestVerifyNMax:
     def test_zero_checks_the_empty_word_only(self, capsys):

@@ -171,6 +171,54 @@ class TestKernelInvariants:
         binary = [Word(l, 2) for n in range(9) for l in product((0, 1), repeat=n)]
         assert sum(nodes(w) for w in binary) == 68148
 
+    def test_in_any_follows_labels(self, monkeypatch):
+        # in_any[t] is the set of sources with a letter into t, after every
+        # commit, cut and undo
+        extend = acx.complexity._LevelSearch._extend
+        retract = acx.complexity._LevelSearch._retract
+        checked = []
+
+        def check(search):
+            for t in range(search.q):
+                sources = sum(1 << p for p in range(search.q) if search.labels[p][t])
+                assert search.in_any[t] == sources
+            checked.append(search.q)
+
+        def checked_extend(self, depth, target):
+            record = extend(self, depth, target)
+            check(self)
+            return record
+
+        def checked_retract(self, record):
+            retract(self, record)
+            check(self)
+
+        monkeypatch.setattr(acx.complexity._LevelSearch, "_extend", checked_extend)
+        monkeypatch.setattr(acx.complexity._LevelSearch, "_retract", checked_retract)
+        rng = random.Random(8)
+        for k in (2, 3):
+            for _ in range(4):
+                an_exact(Word(tuple(rng.randrange(k) for _ in range(11)), k))
+        assert max(checked) >= 5
+
+    def test_step_calls(self, monkeypatch):
+        # most new edges are cut by the in_any test before any row is
+        # rebuilt, and a rebuild stops at the first row with a second walk
+        # into the path; a count of rows built, which no machine changes
+        step = acx.complexity._LevelSearch._step
+        calls = []
+
+        def counted(self, row):
+            calls.append(None)
+            return step(self, row)
+
+        monkeypatch.setattr(acx.complexity._LevelSearch, "_step", counted)
+        an_exact(REFERENCE)
+        assert len(calls) == 13383
+        calls.clear()
+        an_exact(W("001111110100110110", k=2))
+        assert len(calls) == 104135
+
     def test_naive_oracle_all_binary_up_to_seven(self):
         for n in range(8):
             for letters in product((0, 1), repeat=n):
@@ -200,10 +248,11 @@ class TestKernelInvariants:
 
 
 class TestParallelSearch:
-    """jobs=2 calls that pass the node-count gate and reach the pool."""
+    """jobs=2 calls, and the node-count gate that decides which of them
+    reach the pool."""
 
     @pytest.fixture
-    def pool_starts(self, monkeypatch):
+    def counted_pools(self, monkeypatch):
         starts = []
 
         class CountingPool(acx.complexity.ProcessPoolExecutor):
@@ -215,6 +264,13 @@ class TestParallelSearch:
         # two workers whatever the machine, so the pool path always runs
         monkeypatch.setattr(acx.complexity.os, "cpu_count", lambda: 2)
         return starts
+
+    @pytest.fixture
+    def pool_starts(self, monkeypatch, counted_pools):
+        # a gate below the shipped one, so that these words, which the
+        # shipped gate keeps sequential, fan out
+        monkeypatch.setattr(acx.complexity, "_FAN_OUT_NODES", 4096)
+        return counted_pools
 
     @pytest.mark.parametrize(
         "word, nodes",
@@ -232,6 +288,22 @@ class TestParallelSearch:
         assert pool_starts == [2]
         assert parallel == sequential
         assert parallel.certificate.search_nodes == nodes
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "word, pooled",
+        [
+            (REFERENCE, False),
+            (W("001111110100110110"), False),
+            # level 9 exhausts 69,403 nodes, so level 10 fans out
+            (W("111011111001001110"), True),
+        ],
+    )
+    def test_shipped_gate(self, counted_pools, word, pooled):
+        sequential = an_exact(word)
+        parallel = an_exact(word, jobs=2)
+        assert counted_pools == ([2] if pooled else [])
+        assert parallel == sequential
         assert multiprocessing.active_children() == []
 
 
@@ -460,6 +532,8 @@ class TestWorkerCount:
         monkeypatch.setattr(acx.complexity.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(acx.complexity, "ProcessPoolExecutor", recording_executor(created))
         monkeypatch.setattr(acx.experiments, "ProcessPoolExecutor", recording_executor(created))
+        # below the shipped gate, so that the reference word fans out
+        monkeypatch.setattr(acx.complexity, "_FAN_OUT_NODES", 4096)
         assert an_exact(REFERENCE, jobs=64) == an_exact(REFERENCE)
         acx.experiments.survey(6, 4, 0, Fraction(1, 3), jobs=64)
         assert created == [2, 2]
