@@ -45,6 +45,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a fraction p/q, got {text!r}") from None
 
 
+def _positive_fraction(text: str) -> Fraction:
+    """An argparse type for rationals above 0."""
+    value = _fraction(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a fraction above 0, got {text!r}")
+    return value
+
+
 def _emit_json(data: dict) -> None:
     print(json.dumps(data, indent=2))
 
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_jobs(p):
         p.add_argument("--jobs", type=_positive, default=1,
-                       help="worker processes for the search fan-out")
+                       help="checked to be at least 1; one word is searched in one process")
 
     def add_dot(p):
         p.add_argument("--dot", default=None, metavar="PATH",
@@ -421,9 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--samples", type=_positive, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=_fraction, default="1/3", help="tolerance as p/q")
+    p.add_argument("--eps", type=_positive_fraction, default="1/3",
+                   help="tolerance as p/q, above 0")
     p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--jobs", type=_positive, default=1)
+    p.add_argument("--jobs", type=_positive, default=1,
+                   help="worker processes, at most one per CPU, sharing the samples")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_survey)
 

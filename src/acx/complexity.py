@@ -21,7 +21,6 @@ walk.  All comparisons are exact integer arithmetic.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,17 +30,6 @@ from .nfa import Nfa, uniquely_accepts
 from .words import Rational, Word, as_fraction, contains_alpha_power
 
 _OLD_EDGE = ("old",)
-
-# an_exact searches a level in parallel once the level below it exhausted
-# this many nodes; a cheaper level does not repay the pool's start-up and
-# the round trips of its tasks
-_FAN_OUT_NODES = 65536
-# the frontier's target size per worker, so that no subtree is a large
-# share of a level
-_PREFIXES_PER_WORKER = 128
-# frontier prefixes sent to a worker in one task: a task's round trip
-# through the pool costs about as much as a small subtree
-_PREFIXES_PER_TASK = 8
 
 
 def worker_count(jobs: int) -> int:
@@ -73,8 +61,7 @@ class SearchCertificate:
     search_nodes counts the extensions examined on the ruled out levels
     that were searched; levels the bracket ruled out add nothing, and a
     result read from the word's mirror carries the mirror's count.  The
-    level that produced the witness is not included, which keeps the
-    number independent of the parallelism degree.
+    level that produced the witness is not included.
     """
 
     states_ruled_out: int
@@ -128,16 +115,13 @@ class _LevelSearch:
     undo restores it whole.  Each cut is one that the full rebuild would
     make, so the prune stays exact.
 
-    One walker serves the sequential search, the subtree search below a
-    frontier prefix and the frontier of the parallel search, which grows
-    one depth at a time from the previous one.  The frontier counts
-    exactly the nodes above its depth, so frontier nodes plus subtree
-    nodes equal the sequential count at any depth.
+    The search runs in the calling process: one level is one depth-first
+    walk, which stops at its first full path.
     """
 
     __slots__ = (
         "letters", "n", "q", "labels", "out_any", "out_multi", "in_any",
-        "rows", "path", "nodes", "stop", "prefixes",
+        "rows", "path", "nodes",
     )
 
     def __init__(self, letters: Sequence[int], q: int):
@@ -151,8 +135,6 @@ class _LevelSearch:
         self.rows: list[tuple[int, int]] = [(1, 0)]
         self.path: list[int] = [0]
         self.nodes = 0
-        self.stop = self.n
-        self.prefixes: Optional[list[tuple[int, ...]]] = None
 
     def _step(self, row: tuple[int, int]) -> tuple[int, int]:
         m1, m2 = row
@@ -241,15 +223,11 @@ class _LevelSearch:
     def _walk(self, depth: int, max_state: int) -> Optional[tuple[int, ...]]:
         """Extend the path depth first, in lexicographic order of targets.
 
-        At depth ``stop`` a prefix is collected into ``prefixes`` when that
-        list is set, and the walk goes on; otherwise the path is returned
-        if it uses all q states, which ends the walk.  The extension into
-        the endpoint already ruled out a second walk there.
+        A full path is returned if it uses all q states, which ends the
+        walk.  The extension into the endpoint already ruled out a second
+        walk there.
         """
-        if depth == self.stop:
-            if self.prefixes is not None:
-                self.prefixes.append(tuple(self.path))
-                return None
+        if depth == self.n:
             return tuple(self.path) if max_state == self.q - 1 else None
         remaining = self.n - depth - 1
         limit = max_state + 1
@@ -269,94 +247,11 @@ class _LevelSearch:
                 return result
         return None
 
-    def search(self, prefix: tuple[int, ...] = (0,)) -> tuple[Optional[tuple[int, ...]], int]:
-        """The least surviving full path that starts with ``prefix`` (state 0
-        first), and the nodes examined below the prefix."""
-        for depth, target in enumerate(prefix[1:]):
-            if self._extend(depth, target) is None:
-                raise RuntimeError(f"frontier prefix {prefix} does not replay")
-        return self._walk(len(prefix) - 1, max(prefix)), self.nodes
-
-    def deepen(self, prefixes: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], int]:
-        """The prune-surviving one-step extensions of ``prefixes``, in search
-        order, and the nodes examined so far.
-
-        The prefixes are of one length and in search order, as a previous
-        call returns them.  The path retracts only to where the next prefix
-        differs from it and replays the rest, which examines no node, so
-        the count grows by the extensions tried at the new depth alone.
-        """
-        self.stop = len(prefixes[0])
-        self.prefixes = []
-        records = []
-        for prefix in prefixes:
-            keep = 1
-            while keep < len(self.path) and self.path[keep] == prefix[keep]:
-                keep += 1
-            while len(self.path) > keep:
-                self._retract(records.pop())
-            for target in prefix[keep:]:
-                record = self._extend(len(self.path) - 1, target)
-                if record is None:
-                    raise RuntimeError(f"frontier prefix {prefix} does not replay")
-                records.append(record)
-            self._walk(len(prefix) - 1, max(prefix))
-        while records:
-            self._retract(records.pop())
-        return self.prefixes, self.nodes
-
 
 def _search_level(letters: Sequence[int], q: int) -> tuple[Optional[tuple[int, ...]], int]:
-    return _LevelSearch(letters, q).search()
-
-
-def _search_subtree(args) -> tuple[Optional[tuple[int, ...]], int]:
-    letters, q, prefix = args
-    return _LevelSearch(letters, q).search(prefix)
-
-
-def _frontier(letters: Sequence[int], q: int, size: int) -> tuple[list[tuple[int, ...]], int]:
-    """Prefixes to fan out, and the nodes examined above them.
-
-    The frontier deepens one letter at a time, each depth built from the
-    previous one, until it holds ``size`` prefixes, or until one letter
-    more would leave fewer of them: a level whose tree narrows would
-    otherwise be walked to every depth.
-    """
+    """The least surviving full path with q states, and the nodes examined."""
     search = _LevelSearch(letters, q)
-    prefixes, nodes = search.deepen([(0,)])
-    while prefixes and len(prefixes) < size and len(prefixes[0]) <= len(letters):
-        deeper, deeper_nodes = search.deepen(prefixes)
-        if len(deeper) < len(prefixes):
-            break
-        prefixes, nodes = deeper, deeper_nodes
-    return prefixes, nodes
-
-
-def _search_level_parallel(
-    pool, letters: tuple[int, ...], q: int, workers: int
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """Search one level by fanning the subtrees below a frontier out to ``pool``.
-
-    Results are read in prefix order, so the first hit is the
-    lexicographically least witness; closing the result iterator there
-    cancels the tasks not yet started.  On an exhausted level the
-    frontier nodes plus the subtree nodes equal the sequential count.
-    """
-    prefixes, total = _frontier(letters, q, _PREFIXES_PER_WORKER * workers)
-    results = pool.map(
-        _search_subtree,
-        [(letters, q, prefix) for prefix in prefixes],
-        chunksize=_PREFIXES_PER_TASK,
-    )
-    try:
-        for seq, nodes in results:
-            total += nodes
-            if seq is not None:
-                return seq, total
-    finally:
-        results.close()
-    return None, total
+    return search._walk(0, 0), search.nodes
 
 
 def _witness_from_path(word: Word, seq: tuple[int, ...], q: int) -> Nfa:
@@ -372,41 +267,27 @@ def _renamed_in_order(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(names.setdefault(a, len(names)) for a in letters)
 
 
-def _search_levels(
-    letters: Sequence[int], workers: int
-) -> tuple[int, tuple[int, ...], int]:
+def _search_levels(letters: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
     """The least state count with a surviving path, that path, and the
     nodes examined on the exhausted levels below it.
 
-    Levels run from 1 to hyde_bound(n), where Hyde's bound puts a witness.
-    Starts at most one pool, for the levels after one that exhausted
-    _FAN_OUT_NODES nodes, and shuts it down before it returns.
+    Levels run from 1 to hyde_bound(n), where Hyde's bound puts a witness,
+    one after another in the calling process.
     """
     ceiling = hyde_bound(len(letters))
     exhausted_nodes = 0
-    level_nodes = 0
-    pool = None
-    try:
-        for q in range(1, ceiling + 1):
-            if workers > 1 and level_nodes >= _FAN_OUT_NODES:
-                if pool is None:
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                seq, level_nodes = _search_level_parallel(pool, letters, q, workers)
-            else:
-                seq, level_nodes = _search_level(letters, q)
-            if seq is not None:
-                return q, seq, exhausted_nodes
-            exhausted_nodes += level_nodes
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for q in range(1, ceiling + 1):
+        seq, level_nodes = _search_level(letters, q)
+        if seq is not None:
+            return q, seq, exhausted_nodes
+        exhausted_nodes += level_nodes
     raise SearchExhausted(
         f"no witness with at most {ceiling} states, against Hyde's bound"
     )
 
 
 def _bracketed_search(
-    searches: dict, letters: tuple[int, ...], workers: int
+    searches: dict, letters: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...], int, str]:
     """A word's value, path, nodes and mode, decided from its mirror or its
     two factors in ``searches`` where they are there.
@@ -432,7 +313,7 @@ def _bracketed_search(
                 if seq is not None:
                     return lo, seq, 0, mode
             return hi, prefix[1] + (hi - 1,), nodes, "factor-bracket"
-    q, seq, nodes = _search_levels(letters, workers)
+    q, seq, nodes = _search_levels(letters)
     return q, seq, nodes, "path-induced"
 
 
@@ -449,13 +330,9 @@ def an_exact(
     witness is the answer, and the returned witness is the one with the
     lexicographically least canonical state sequence.
 
-    With ``jobs`` > 1 (capped by worker_count) a level is searched across
-    worker processes once the level below it exhausted at least
-    _FAN_OUT_NODES nodes, and sent to them _PREFIXES_PER_TASK frontier
-    prefixes a task.  The gate counts nodes, not time, so whether a call
-    fans out depends on the word alone; the call starts at most one pool
-    and shuts it down before it returns.  Value, witness and certificate
-    are identical at any ``jobs``.
+    The search runs in the calling process.  ``jobs`` is range-checked by
+    worker_count, which raises ValueError below 1, and changes nothing
+    else: parallelism is across words, in survey.
 
     ``searches``, when given, is a dict that the calls of one sweep share.
     The search compares letters only for equality, so a word and any
@@ -483,15 +360,15 @@ def an_exact(
     factors.  Pass a fresh dict per sweep, so that it is freed when the
     sweep returns.
     """
-    workers = worker_count(jobs)
+    worker_count(jobs)
     if searches is None:
-        q, seq, exhausted_nodes = _search_levels(word.letters, workers)
+        q, seq, exhausted_nodes = _search_levels(word.letters)
         mode = "path-induced"
     else:
         key = _renamed_in_order(word.letters)
         found = searches.get(key)
         if found is None:
-            found = searches[key] = _bracketed_search(searches, key, workers)
+            found = searches[key] = _bracketed_search(searches, key)
         q, seq, exhausted_nodes, mode = found
     witness = _witness_from_path(word, seq, q)
     if not uniquely_accepts(witness, word):

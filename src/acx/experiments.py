@@ -278,6 +278,8 @@ def survey(
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
     epsilon = as_fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be above 0, got {epsilon}")
     rng = DeterministicRng(seed)
     stream = [tuple(rng.below(k) for _ in range(n)) for _ in range(samples)]
     workers = worker_count(jobs)

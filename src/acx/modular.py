@@ -22,9 +22,15 @@ from .words import Word
 
 WILDCARD = None
 
+# the largest x that primorial, chebyshev_theta and rosser_sweep sieve up
+# to: the sieve holds one byte per integer up to x
+SIEVE_LIMIT = 10**7
+
 
 def _sieve(limit: int) -> list[int]:
-    """Primes up to limit inclusive."""
+    """Primes up to limit inclusive, for limit at most SIEVE_LIMIT."""
+    if limit > SIEVE_LIMIT:
+        raise ValueError(f"the prime sieve stops at {SIEVE_LIMIT}, got {limit}")
     if limit < 2:
         return []
     flags = bytearray([1]) * (limit + 1)
@@ -51,14 +57,18 @@ def _is_prime(n: int) -> bool:
 
 
 def primorial(x: int) -> int:
-    """Product of all primes <= x, as an exact integer (empty product is 1)."""
+    """Product of all primes <= x, as an exact integer (empty product is 1).
+
+    x is at most SIEVE_LIMIT.
+    """
     if x < 1:
         raise ValueError("primorial needs x >= 1")
     return math.prod(_sieve(x))
 
 
 def chebyshev_theta(x: int) -> float:
-    """Sum of ln p over primes p <= x; equals ln of the primorial."""
+    """Sum of ln p over primes p <= x, for x at most SIEVE_LIMIT; equals ln
+    of the primorial."""
     if x < 1:
         raise ValueError("theta needs x >= 1")
     return sum(math.log(p) for p in _sieve(x))

@@ -42,9 +42,11 @@ class TestCompute:
         assert first == second
 
     def test_jobs_flag_matches_sequential(self, capsys):
-        _, sequential, _ = run(capsys, "compute", "010011010011", "--json")
-        _, parallel, _ = run(capsys, "compute", "010011010011", "--json", "--jobs", "2")
-        assert sequential == parallel
+        # the second word used to fan a level out to a process pool
+        for word in ("010011010011", "111011111001001110"):
+            _, sequential, _ = run(capsys, "compute", word, "--json", "--jobs", "1")
+            _, parallel, _ = run(capsys, "compute", word, "--json", "--jobs", "2")
+            assert sequential == parallel, word
 
 
 class TestWordCommands:
@@ -253,6 +255,8 @@ class TestFractionOptions:
             ("power", "01", "--exp", "1/0"),
             ("power", "01", "--exp", "x"),
             ("survey", "--n", "4", "--samples", "2", "--eps", "1/0"),
+            ("survey", "--n", "4", "--samples", "2", "--eps", "0"),
+            ("survey", "--n", "4", "--samples", "2", "--eps", "-1"),
         ],
     )
     def test_malformed_fraction_is_usage_error(self, capsys, argv):
@@ -334,6 +338,9 @@ class TestDomainErrors:
             ("construct", "--n", "4", "--positions", "3,1", "--bits", "0,1"),
             ("construct", "--n", "4", "--positions", "1", "--bits", "0", "--alphabet", "0"),
             ("survey", "--n", "4", "--samples", "2", "--alphabet", "0"),
+            # above the prime sieve's cap
+            ("primorial", "100000000000000000000"),
+            ("theta", "100000000000000000000"),
         ],
     )
     def test_exit_one_with_error_line(self, capsys, argv):

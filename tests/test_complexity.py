@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import random
 from fractions import Fraction
@@ -247,63 +248,23 @@ class TestKernelInvariants:
         assert (result.value, result.witness) == path_induced_oracle(w), w
 
 
-class TestParallelSearch:
-    """jobs=2 calls, and the node-count gate that decides which of them
-    reach the pool."""
-
-    @pytest.fixture
-    def counted_pools(self, monkeypatch):
+class TestOneProcessPerWord:
+    def test_jobs_two_starts_no_pool(self, monkeypatch):
+        # level 9 of this word exhausts 69,403 nodes, enough to fan level 10
+        # out to a pool in earlier versions of the search
         starts = []
+        init = concurrent.futures.ProcessPoolExecutor.__init__
 
-        class CountingPool(acx.complexity.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                starts.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
+        def counting_init(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(acx.complexity, "ProcessPoolExecutor", CountingPool)
-        # two workers whatever the machine, so the pool path always runs
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", counting_init)
+        # two workers whatever the machine, so jobs=2 is not capped to 1
         monkeypatch.setattr(acx.complexity.os, "cpu_count", lambda: 2)
-        return starts
-
-    @pytest.fixture
-    def pool_starts(self, monkeypatch, counted_pools):
-        # a gate below the shipped one, so that these words, which the
-        # shipped gate keeps sequential, fan out
-        monkeypatch.setattr(acx.complexity, "_FAN_OUT_NODES", 4096)
-        return counted_pools
-
-    @pytest.mark.parametrize(
-        "word, nodes",
-        [
-            (W("001111110100110110"), 47760),
-            # the witness-level hit is in an early frontier prefix, so the
-            # later subtrees are cancelled or discarded
-            (REFERENCE, 8338),
-        ],
-    )
-    def test_one_pool_same_result(self, pool_starts, word, nodes):
-        sequential = an_exact(word)
-        assert pool_starts == []
-        parallel = an_exact(word, jobs=2)
-        assert pool_starts == [2]
-        assert parallel == sequential
-        assert parallel.certificate.search_nodes == nodes
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize(
-        "word, pooled",
-        [
-            (REFERENCE, False),
-            (W("001111110100110110"), False),
-            # level 9 exhausts 69,403 nodes, so level 10 fans out
-            (W("111011111001001110"), True),
-        ],
-    )
-    def test_shipped_gate(self, counted_pools, word, pooled):
-        sequential = an_exact(word)
-        parallel = an_exact(word, jobs=2)
-        assert counted_pools == ([2] if pooled else [])
-        assert parallel == sequential
+        word = W("111011111001001110")
+        assert an_exact(word, jobs=2) == an_exact(word)
+        assert starts == []
         assert multiprocessing.active_children() == []
 
 
@@ -496,13 +457,10 @@ def recording_executor(created: list):
             return self
 
         def __exit__(self, *exc):
-            self.shutdown()
+            pass
 
         def map(self, fn, iterable, chunksize=1):
             return (fn(item) for item in iterable)
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
 
     return RecordingExecutor
 
@@ -530,13 +488,9 @@ class TestWorkerCount:
     def test_pools_get_the_capped_count(self, monkeypatch):
         created = []
         monkeypatch.setattr(acx.complexity.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(acx.complexity, "ProcessPoolExecutor", recording_executor(created))
         monkeypatch.setattr(acx.experiments, "ProcessPoolExecutor", recording_executor(created))
-        # below the shipped gate, so that the reference word fans out
-        monkeypatch.setattr(acx.complexity, "_FAN_OUT_NODES", 4096)
-        assert an_exact(REFERENCE, jobs=64) == an_exact(REFERENCE)
         acx.experiments.survey(6, 4, 0, Fraction(1, 3), jobs=64)
-        assert created == [2, 2]
+        assert created == [2]
 
 
 class TestCyclicWitness:

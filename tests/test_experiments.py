@@ -116,6 +116,11 @@ class TestSurvey:
         b = survey(n=8, samples=50, seed=2, epsilon=Fraction(1, 2))
         assert a != b
 
+    @pytest.mark.parametrize("epsilon", [0, -1, Fraction(-1, 3)])
+    def test_rejects_epsilon_not_above_zero(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            survey(n=4, samples=2, seed=0, epsilon=epsilon)
+
     def test_parallel_identical(self):
         a = survey(n=10, samples=24, seed=5, epsilon=Fraction(1, 2))
         b = survey(n=10, samples=24, seed=5, epsilon=Fraction(1, 2), jobs=2)

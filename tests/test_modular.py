@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from acx.complexity import an_exact, cyclic_witness
 from acx.errors import Inconsistent
 from acx.modular import (
+    SIEVE_LIMIT,
     PositionConstraint,
     avg_gap_check,
     build_low_complexity_word,
@@ -222,6 +223,12 @@ class TestNumberTheory:
 
     def test_rosser_sweep_small(self):
         assert rosser_sweep(41, 20000) == []
+
+    def test_sieve_cap(self):
+        assert SIEVE_LIMIT >= 10**6
+        for sieved in (primorial, chebyshev_theta, lambda x: rosser_sweep(41, x)):
+            with pytest.raises(ValueError, match="sieve"):
+                sieved(SIEVE_LIMIT + 1)
 
     def test_modulus_existence_bound(self):
         # whenever n is at most (2(c-1)/c) * (p_q#)^(1/C(c,2)), some prime
