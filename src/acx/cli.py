@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -243,8 +244,22 @@ def _cmd_table(args) -> int:
     return 0
 
 
+# the most digits primorial prints, Python's default int-to-str limit
+_PRIMORIAL_DIGITS = 4300
+
+
 def _cmd_primorial(args) -> int:
-    print(modular.primorial(args.x))
+    x = args.x
+    # ln(x#) = theta(x) > x(1 - 1/ln x) for x >= 41, so a large x is refused
+    # before the sieve, and a smaller one by its exact product
+    fits = x < 41 or x * (1 - 1 / math.log(x)) < _PRIMORIAL_DIGITS * math.log(10)
+    value = modular.primorial(x) if fits else None
+    if value is None or value >= 10**_PRIMORIAL_DIGITS:
+        raise AcxError(
+            f"primorial prints at most {_PRIMORIAL_DIGITS} digits, and the product of "
+            f"the primes up to {x} has more; `acx theta {x}` gives its natural logarithm"
+        )
+    print(value)
     return 0
 
 
@@ -333,10 +348,8 @@ def _cmd_verify(args) -> int:
         sweep = experiments.sandwich_check(n_max=args.n_max)
         data = sweep.to_json_dict()
         ok = sweep.ok
-    if args.json:
-        _emit_json(data)
-    else:
-        print(json.dumps(data, indent=2))
+    # the report is JSON with or without --json
+    _emit_json(data)
     if not ok:
         return 1
     return 0
@@ -352,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     def word_cmd(name, func, help_text, extra=()):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("word", help="word as a digit string")
-        p.add_argument("--alphabet", type=int, default=None,
+        p.add_argument("--alphabet", type=_positive, default=None,
                        help="alphabet size (default: 1 + largest digit)")
         p.add_argument("--json", action="store_true")
         for add in extra:
@@ -384,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shuffle", help="perfect shuffle of two words")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--alphabet", type=int, default=None)
+    p.add_argument("--alphabet", type=_positive, default=None)
     p.set_defaults(func=_cmd_shuffle)
 
     p = word_cmd("morphism", _cmd_morphism, "apply a named morphism")
@@ -395,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positions", required=True, help="comma-separated positions")
     p.add_argument("--bits", required=True, help="comma-separated letters")
     p.add_argument("--prime", action="store_true", help="use the smallest prime modulus")
-    p.add_argument("--alphabet", type=int, default=2)
+    p.add_argument("--alphabet", type=_positive, default=2)
     p.add_argument("--keep-wildcards", action="store_true",
                    help="render unconstrained cells as a fresh letter instead of 0")
     p.add_argument("--json", action="store_true")
@@ -431,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=_positive_fraction, default="1/3",
                    help="tolerance as p/q, above 0")
-    p.add_argument("--alphabet", type=int, default=2)
+    p.add_argument("--alphabet", type=_positive, default=2)
     p.add_argument("--jobs", type=_positive, default=1,
                    help="worker processes, at most one per CPU, sharing the samples")
     p.add_argument("--json", action="store_true")

@@ -20,7 +20,6 @@ walk.  All comparisons are exact integer arithmetic.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -30,14 +29,6 @@ from .nfa import Nfa, uniquely_accepts
 from .words import Rational, Word, as_fraction, contains_alpha_power
 
 _OLD_EDGE = ("old",)
-
-
-def worker_count(jobs: int) -> int:
-    """Worker processes to start for ``jobs``: at most one per CPU."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    # os.cpu_count reads a system file; sequential callers need not ask
-    return 1 if jobs == 1 else min(jobs, os.cpu_count() or 1)
 
 
 def hyde_bound(n: int) -> int:
@@ -267,54 +258,35 @@ def _renamed_in_order(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(names.setdefault(a, len(names)) for a in letters)
 
 
-def _search_levels(letters: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
-    """The least state count with a surviving path, that path, and the
-    nodes examined on the exhausted levels below it.
+def _decide(searches: dict, letters: tuple[int, ...]) -> tuple[int, tuple[int, ...], int, str]:
+    """A word's value, path, nodes and mode, bracketed as an_exact says.
 
-    Levels run from 1 to hyde_bound(n), where Hyde's bound puts a witness,
-    one after another in the calling process.
-    """
-    ceiling = hyde_bound(len(letters))
-    exhausted_nodes = 0
-    for q in range(1, ceiling + 1):
-        seq, level_nodes = _search_level(letters, q)
-        if seq is not None:
-            return q, seq, exhausted_nodes
-        exhausted_nodes += level_nodes
-    raise SearchExhausted(
-        f"no witness with at most {ceiling} states, against Hyde's bound"
-    )
-
-
-def _bracketed_search(
-    searches: dict, letters: tuple[int, ...]
-) -> tuple[int, tuple[int, ...], int, str]:
-    """A word's value, path, nodes and mode, decided from its mirror or its
-    two factors in ``searches`` where they are there.
-
-    ``letters`` are renamed in order of first occurrence.
+    ``letters`` are renamed in order of first occurrence and not yet a key
+    of ``searches``, so the empty word finds no mirror and no factors.
     """
     mirror = searches.get(_renamed_in_order(letters[::-1]))
     if mirror is not None:
         # reversed, the mirror's path is a witness but need not be the least
         q, seq, nodes, _ = mirror
         return q, _renamed_in_order(seq[::-1]), nodes, "factor-bracket"
-    if letters:
-        prefix = searches.get(letters[:-1])
-        suffix = searches.get(_renamed_in_order(letters[1:]))
-        if prefix is not None and suffix is not None:
-            lo = max(prefix[0], suffix[0])
-            hi = prefix[0] + 1
-            # from level 1, every level up to a witness found is searched
-            mode = "path-induced" if lo == 1 else "factor-bracket"
-            nodes = 0
-            if lo < hi:
-                seq, nodes = _search_level(letters, lo)
-                if seq is not None:
-                    return lo, seq, 0, mode
-            return hi, prefix[1] + (hi - 1,), nodes, "factor-bracket"
-    q, seq, nodes = _search_levels(letters)
-    return q, seq, nodes, "path-induced"
+    prefix = searches.get(letters[:-1])
+    suffix = searches.get(_renamed_in_order(letters[1:]))
+    bracketed = prefix is not None and suffix is not None
+    if bracketed:
+        lo, top = max(prefix[0], suffix[0]), prefix[0]
+    else:
+        lo, top = 1, hyde_bound(len(letters))
+    # from level 1, every level up to a witness found is searched
+    mode = "path-induced" if lo == 1 else "factor-bracket"
+    exhausted_nodes = 0
+    for q in range(lo, top + 1):
+        seq, level_nodes = _search_level(letters, q)
+        if seq is not None:
+            return q, seq, exhausted_nodes, mode
+        exhausted_nodes += level_nodes
+    if not bracketed:
+        raise SearchExhausted(f"no witness with at most {top} states, against Hyde's bound")
+    return top + 1, prefix[1] + (top,), exhausted_nodes, "factor-bracket"
 
 
 def an_exact(
@@ -325,51 +297,45 @@ def an_exact(
 ) -> ComplexityResult:
     """Exact A_N with a uniquely-accepting witness and exhaustion certificate.
 
-    Levels are searched in ascending state count from 1 up to Hyde's bound
-    floor(n/2)+1, which always admits a witness; the first level with a
-    witness is the answer, and the returned witness is the one with the
-    lexicographically least canonical state sequence.
+    The search runs in the calling process, in ascending state count up to
+    Hyde's bound floor(n/2)+1, which always admits a witness; the first
+    level with a witness is the answer.  ``jobs`` raises ValueError below 1
+    and changes nothing else: parallelism is across words, in survey.
 
-    The search runs in the calling process.  ``jobs`` is range-checked by
-    worker_count, which raises ValueError below 1, and changes nothing
-    else: parallelism is across words, in survey.
-
-    ``searches``, when given, is a dict that the calls of one sweep share.
-    The search compares letters only for equality, so a word and any
-    renaming of its letters take the same canonical path with the same
-    node counts at every level.  The dict maps the letters renamed in
-    order of first occurrence to the outcome: value, path, nodes and
-    search mode.  A word whose key is already there takes that outcome.
-    Any other word is first bracketed by what the dict holds, using
+    ``searches`` is a dict that the calls of one sweep share, and a fresh
+    one when not given.  It maps a word's letters, renamed in order of
+    first occurrence, to its value, path, nodes and search mode: the search
+    compares letters only for equality, so a renaming takes the same path
+    with the same node counts.  A word whose key is there takes that
+    outcome.  Any other word is bracketed by what the dict holds, using
     A_N(u) <= A_N(uv), A_N(ua) <= A_N(u) + 1 and A_N(reverse w) = A_N(w):
 
     - if the word's reversal, renamed, is there, its path is read
       backwards, with the states renamed in order of first occurrence;
-    - if both w[:-1] and w[1:] are there, lo = max of their values and
-      hi = A_N(w[:-1]) + 1 bound the value.  Level lo alone is searched
-      when lo < hi; a witness there gives lo, and otherwise the value is
-      hi with the prefix's path plus one new final state.  When hi exceeds
-      floor(n/2)+1, lo already equals floor(n/2)+1, so level lo is
-      searched, and Hyde's bound puts a witness there.
+    - if both w[:-1] and w[1:] are there, the levels from
+      lo = max(A_N(w[:-1]), A_N(w[1:])) to A_N(w[:-1]) are searched, which
+      is level lo at most; if none has a witness, the value is
+      A_N(w[:-1]) + 1, with the prefix's path plus one new final state.
+      As A_N(w[:-1]) is at most Hyde's bound for n - 1, no level above
+      Hyde's bound for n is searched;
+    - otherwise every level from 1 is searched.
 
-    A word with neither searches its levels in full.  The witness is always
-    built from the word's own letters and re-checked, and the value
-    equals the one without ``searches``.  A bracketed result may have
-    another witness than the least one; its certificate then says
-    ``"factor-bracket"``.  A sweep in order of length finds every word's
-    factors.  Pass a fresh dict per sweep, so that it is freed when the
-    sweep returns.
+    The witness is always built from the word's own letters and re-checked,
+    and the value equals the one from a fresh dict.  From a fresh dict, the
+    witness has the lexicographically least canonical state sequence; a
+    ``"factor-bracket"`` result may have another.  A sweep in order of
+    length finds every word's factors.  Pass a fresh dict per sweep, so
+    that it is freed when the sweep returns.
     """
-    worker_count(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if searches is None:
-        q, seq, exhausted_nodes = _search_levels(word.letters)
-        mode = "path-induced"
-    else:
-        key = _renamed_in_order(word.letters)
-        found = searches.get(key)
-        if found is None:
-            found = searches[key] = _bracketed_search(searches, key)
-        q, seq, exhausted_nodes, mode = found
+        searches = {}
+    key = _renamed_in_order(word.letters)
+    found = searches.get(key)
+    if found is None:
+        found = searches[key] = _decide(searches, key)
+    q, seq, exhausted_nodes, mode = found
     witness = _witness_from_path(word, seq, q)
     if not uniquely_accepts(witness, word):
         raise RuntimeError(f"search produced a bad witness for {word}")

@@ -45,10 +45,6 @@ class NotAPower(AcxError):
     """A word is not a fractional power of its claimed period prefix."""
 
 
-class Inconsistent(AcxError):
-    """Positional bit constraints collide inside one residue class."""
-
-
 class ArityMismatch(AcxError):
     """Two polynomials over different numbers of variables."""
 

@@ -7,6 +7,7 @@ bit for bit, and sweep reports aggregate in input order.
 
 from __future__ import annotations
 
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .complexity import an_exact, full_enumeration_minima, hyde_bound, worker_count
+from .complexity import an_exact, full_enumeration_minima, hyde_bound
 from .errors import VerificationFailed
 from .nfa import Nfa, uniquely_accepts
 from .words import (
@@ -254,6 +255,14 @@ class SurveyReport:
             "median": self.median,
             "within_epsilon": self.within_epsilon,
         }
+
+
+def worker_count(jobs: int) -> int:
+    """Worker processes to start for ``jobs``: at most one per CPU."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    # os.cpu_count reads a system file; sequential callers need not ask
+    return 1 if jobs == 1 else min(jobs, os.cpu_count() or 1)
 
 
 def _an_value_of_letters(args: tuple[tuple[int, ...], int]) -> int:

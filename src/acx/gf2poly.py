@@ -106,15 +106,8 @@ def or_poly(n: int) -> MultilinearPoly:
     if n < 1:
         raise ValueError("disjunction needs at least one variable")
     if n > _DENSE_CAP:
-        raise TooManyVariables(f"or_poly is dense; use or_poly_stats beyond n={_DENSE_CAP}")
+        raise TooManyVariables(f"or_poly is dense and capped at n={_DENSE_CAP} variables")
     return MultilinearPoly(n, frozenset(range(1, 1 << n)))
-
-
-def or_poly_stats(n: int) -> dict:
-    """Degree and monomial count of the disjunction, computed arithmetically."""
-    if n < 1:
-        raise ValueError("disjunction needs at least one variable")
-    return {"n": n, "degree": n, "monomials": (1 << n) - 1}
 
 
 def constant_indicator_poly(n: int) -> MultilinearPoly:
@@ -127,19 +120,13 @@ def constant_indicator_poly(n: int) -> MultilinearPoly:
         raise ValueError("indicator needs at least one variable")
     if n > _DENSE_CAP:
         raise TooManyVariables(
-            f"constant_indicator_poly is dense; use constant_indicator_stats beyond n={_DENSE_CAP}"
+            f"constant_indicator_poly is dense and capped at n={_DENSE_CAP} variables"
         )
     shifted = one(n)
     for i in range(n):
         shifted = mul(shifted, add(variable(i, n), one(n)))
     all_vars = MultilinearPoly(n, frozenset({(1 << n) - 1}))
     return add(all_vars, shifted)
-
-
-def constant_indicator_stats(n: int) -> dict:
-    if n < 1:
-        raise ValueError("indicator needs at least one variable")
-    return {"n": n, "degree": n - 1, "monomials": (1 << n) - 1}
 
 
 def anf_from_truth_table(table: Union[str, Sequence[int]]) -> MultilinearPoly:

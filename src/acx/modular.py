@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .complexity import an_exact
-from .errors import Inconsistent
 from .words import Word
 
 WILDCARD = None
@@ -230,9 +229,8 @@ def build_low_complexity_word(
     else:
         search = find_modulus(constraint.positions)
         m = search.smallest_integer if mode == "smallest_integer" else search.smallest_prime
+    # either route picks an m whose template is consistent
     cells = template_for(m)
-    if cells is None:
-        raise Inconsistent(f"conflicting letters inside a residue class mod {m}")
 
     if fill is None:
         fill_letter = constraint.k

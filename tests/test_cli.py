@@ -226,6 +226,11 @@ class TestUsageErrors:
             ("verify", "--suite", "sandwich", "--n-max", "-2"),
             ("survey", "--n", "0"),
             ("survey", "--n", "4", "--samples", "0"),
+            ("survey", "--n", "4", "--alphabet", "0"),
+            ("survey", "--n", "4", "--alphabet", "-1"),
+            ("compute", "01", "--alphabet", "0"),
+            ("shuffle", "01", "10", "--alphabet", "-1"),
+            ("construct", "--n", "4", "--positions", "1", "--bits", "0", "--alphabet", "0"),
         ],
     )
     def test_out_of_range_integer_option(self, capsys, argv):
@@ -336,8 +341,10 @@ class TestDomainErrors:
             ("theta", "0"),
             ("power", "01", "--exp", "0"),
             ("construct", "--n", "4", "--positions", "3,1", "--bits", "0,1"),
-            ("construct", "--n", "4", "--positions", "1", "--bits", "0", "--alphabet", "0"),
-            ("survey", "--n", "4", "--samples", "2", "--alphabet", "0"),
+            # the least x whose primorial has more than 4300 digits, and
+            # one that the bound on theta rules out before the sieve
+            ("primorial", "10007"),
+            ("primorial", "20000"),
             # above the prime sieve's cap
             ("primorial", "100000000000000000000"),
             ("theta", "100000000000000000000"),
@@ -348,6 +355,13 @@ class TestDomainErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_primorial_digit_limit(self, capsys):
+        code, out, _ = run(capsys, "primorial", "10006")
+        assert code == 0 and len(out.strip()) <= 4300
+        code, _, err = run(capsys, "primorial", "20000")
+        assert code == 1
+        assert "4300 digits" in err and "acx theta 20000" in err
 
     @pytest.mark.parametrize(
         "argv",

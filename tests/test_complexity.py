@@ -20,9 +20,9 @@ from acx.complexity import (
     is_an_simple,
     power_bound_implication_holds,
     power_upper_bound,
-    worker_count,
 )
 from acx.errors import EmptyBase, NotAPower
+from acx.experiments import worker_count
 from acx.nfa import Nfa, uniquely_accepts
 from acx.words import Word
 from oracles import count_walks_oracle, path_induced_oracle
@@ -114,47 +114,6 @@ class TestAnExact:
             for letters in product((0, 1), repeat=n):
                 w = Word(letters, 2)
                 assert an_exact(w).value == minima[w]
-
-    def test_witness_is_lexicographically_least_sequence(self):
-        # enumerate every canonical q-state path candidate directly and
-        # keep the least state sequence that accepts uniquely
-        from acx.nfa import Nfa, uniquely_accepts as unique
-
-        for text in ("0101", "0110", "01101"):
-            w = W(text, k=2)
-            n = len(w)
-            result = an_exact(w)
-            q = result.value
-            best = None
-            for seq in product(range(q), repeat=n):
-                seq = (0,) + seq
-                maxs = 0
-                canonical = True
-                for s in seq:
-                    if s > maxs + 1:
-                        canonical = False
-                        break
-                    maxs = max(maxs, s)
-                if not canonical or maxs != q - 1:
-                    continue
-                candidate = Nfa(
-                    q=q, k=2,
-                    transitions=frozenset(
-                        (seq[i], w.letters[i], seq[i + 1]) for i in range(n)
-                    ),
-                    finals=frozenset({seq[-1]}),
-                )
-                if unique(candidate, w):
-                    best = seq
-                    break  # product() runs in lexicographic order
-            assert best is not None
-            assert result.witness == Nfa(
-                q=q, k=2,
-                transitions=frozenset(
-                    (best[i], w.letters[i], best[i + 1]) for i in range(n)
-                ),
-                finals=frozenset({best[-1]}),
-            )
 
 
 class TestKernelInvariants:
@@ -260,8 +219,6 @@ class TestOneProcessPerWord:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", counting_init)
-        # two workers whatever the machine, so jobs=2 is not capped to 1
-        monkeypatch.setattr(acx.complexity.os, "cpu_count", lambda: 2)
         word = W("111011111001001110")
         assert an_exact(word, jobs=2) == an_exact(word)
         assert starts == []
@@ -467,13 +424,13 @@ def recording_executor(created: list):
 
 class TestWorkerCount:
     def test_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(acx.complexity.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(acx.experiments.os, "cpu_count", lambda: 2)
         assert worker_count(1) == 1
         assert worker_count(2) == 2
         assert worker_count(64) == 2
 
     def test_unknown_cpu_count_means_one(self, monkeypatch):
-        monkeypatch.setattr(acx.complexity.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(acx.experiments.os, "cpu_count", lambda: None)
         assert worker_count(8) == 1
 
     @pytest.mark.parametrize("jobs", [0, -1])
@@ -487,7 +444,7 @@ class TestWorkerCount:
 
     def test_pools_get_the_capped_count(self, monkeypatch):
         created = []
-        monkeypatch.setattr(acx.complexity.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(acx.experiments.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(acx.experiments, "ProcessPoolExecutor", recording_executor(created))
         acx.experiments.survey(6, 4, 0, Fraction(1, 3), jobs=64)
         assert created == [2]

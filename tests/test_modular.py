@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acx.complexity import an_exact, cyclic_witness
-from acx.errors import Inconsistent
 from acx.modular import (
     SIEVE_LIMIT,
     PositionConstraint,
