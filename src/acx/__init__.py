@@ -45,7 +45,6 @@ from .modular import (
     format_table,
     primorial,
     residues,
-    rosser_check,
     rosser_sweep,
     table_best_bound,
     theoretical_bound,

@@ -58,11 +58,15 @@ def _emit_json(data: dict) -> None:
     print(json.dumps(data, indent=2))
 
 
-def _parse_word(text: str, alphabet: Optional[int]) -> words.Word:
-    w = words.Word.from_text(text, k=alphabet)
+def _printable(w: words.Word) -> words.Word:
+    """w itself, if its alphabet fits one digit per letter."""
     if w.k > 10:
         raise AcxError("command-line words are limited to alphabet size 10")
     return w
+
+
+def _parse_word(text: str, alphabet: Optional[int]) -> words.Word:
+    return _printable(words.Word.from_text(text, k=alphabet))
 
 
 def _write_dot(path: Optional[str], automaton: nfa.Nfa) -> None:
@@ -111,7 +115,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_classify(args) -> int:
     w = _parse_word(args.word, args.alphabet)
-    value = complexity.an_exact(w, jobs=args.jobs).value
+    value = complexity.an_exact(w).value
     member = value * args.c > len(w)
     if args.json:
         _emit_json(
@@ -125,7 +129,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_simple(args) -> int:
     w = _parse_word(args.word, args.alphabet)
-    value = complexity.an_exact(w, jobs=args.jobs).value
+    value = complexity.an_exact(w).value
     bound = complexity.hyde_bound(len(w))
     simple = value < bound
     if args.json:
@@ -184,11 +188,8 @@ def _cmd_shuffle(args) -> int:
 
 
 def _cmd_morphism(args) -> int:
-    if args.name != "brandenburg":
-        raise AcxError(f"unknown morphism {args.name!r} (available: brandenburg)")
-    m = words.brandenburg()
     w = _parse_word(args.word, args.alphabet)
-    print(words.apply_morphism(m, w))
+    print(words.apply_morphism(words.brandenburg(), w))
     return 0
 
 
@@ -212,6 +213,7 @@ def _cmd_construct(args) -> int:
     witness = modular.build_low_complexity_word(
         constraint, mode, fill=None if args.keep_wildcards else 0
     )
+    _printable(witness.word)
     if args.dot and len(witness.word):
         cycle = complexity.cyclic_witness(
             witness.word, Fraction(constraint.n, witness.modulus)
@@ -223,7 +225,7 @@ def _cmd_construct(args) -> int:
         print(f"m = {witness.modulus}")
         print(f"z = {witness.template_text}")
         print(f"x = {witness.word}")
-        print(f"bound = {witness.bound}")
+        print(f"bound = {witness.modulus}")
     return 0
 
 
@@ -268,48 +270,47 @@ def _cmd_theta(args) -> int:
     return 0
 
 
-def _cmd_gf2(args) -> int:
-    if args.operation in ("or", "an1"):
-        if args.vars is None:
-            raise AcxError(f"gf2 {args.operation} needs --vars")
-        if args.operation == "or":
-            poly = gf2poly.or_poly(args.vars)
-        else:
-            poly = gf2poly.constant_indicator_poly(args.vars)
-        if args.json:
-            _emit_json(
-                {
-                    "n": poly.n,
-                    "degree": gf2poly.degree(poly),
-                    "monomials": len(poly.monomials),
-                    "poly": gf2poly.format_poly(poly),
-                }
-            )
-        else:
-            print(gf2poly.format_poly(poly))
-    elif args.operation == "degree":
-        if args.poly is None:
-            raise AcxError("gf2 degree needs --poly")
-        poly = gf2poly.parse_poly(args.poly, n=args.vars)
-        deg = gf2poly.degree(poly)
-        if args.json:
-            _emit_json({"poly": gf2poly.format_poly(poly), "degree": deg})
-        else:
-            print("zero polynomial" if deg is None else deg)
-    elif args.operation == "anf":
-        if args.table is None:
-            raise AcxError("gf2 anf needs --table")
-        poly = gf2poly.anf_from_truth_table(args.table)
-        if args.json:
-            _emit_json(
-                {
-                    "table": args.table,
-                    "poly": gf2poly.format_poly(poly),
-                    "degree": gf2poly.degree(poly),
-                }
-            )
-        else:
-            print(gf2poly.format_poly(poly))
+_GF2_FAMILIES = {"or": gf2poly.or_poly, "an1": gf2poly.constant_indicator_poly}
+
+
+def _cmd_gf2_family(args) -> int:
+    poly = _GF2_FAMILIES[args.operation](args.vars)
+    if args.json:
+        _emit_json(
+            {
+                "n": poly.n,
+                "degree": gf2poly.degree(poly),
+                "monomials": len(poly.monomials),
+                "poly": gf2poly.format_poly(poly),
+            }
+        )
+    else:
+        print(gf2poly.format_poly(poly))
+    return 0
+
+
+def _cmd_gf2_degree(args) -> int:
+    poly = gf2poly.parse_poly(args.poly, n=args.vars)
+    deg = gf2poly.degree(poly)
+    if args.json:
+        _emit_json({"poly": gf2poly.format_poly(poly), "degree": deg})
+    else:
+        print("zero polynomial" if deg is None else deg)
+    return 0
+
+
+def _cmd_gf2_anf(args) -> int:
+    poly = gf2poly.anf_from_truth_table(args.table)
+    if args.json:
+        _emit_json(
+            {
+                "table": args.table,
+                "poly": gf2poly.format_poly(poly),
+                "degree": gf2poly.degree(poly),
+            }
+        )
+    else:
+        print(gf2poly.format_poly(poly))
     return 0
 
 
@@ -348,7 +349,7 @@ def _cmd_verify(args) -> int:
         sweep = experiments.sandwich_check(n_max=args.n_max)
         data = sweep.to_json_dict()
         ok = sweep.ok
-    # the report is JSON with or without --json
+    # the report is always JSON
     _emit_json(data)
     if not ok:
         return 1
@@ -360,35 +361,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="acx",
         description="Exact nondeterministic automatic complexity and friends.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # build_parser runs on every main call; an explicit prog spares argparse
+    # formatting a usage line to derive it
+    sub = parser.add_subparsers(dest="command", required=True, prog="acx")
 
-    def word_cmd(name, func, help_text, extra=()):
+    def word_cmd(name, func, help_text, with_json=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("word", help="word as a digit string")
         p.add_argument("--alphabet", type=_positive, default=None,
                        help="alphabet size (default: 1 + largest digit)")
-        p.add_argument("--json", action="store_true")
-        for add in extra:
-            add(p)
+        if with_json:
+            p.add_argument("--json", action="store_true")
         p.set_defaults(func=func)
         return p
-
-    def add_jobs(p):
-        p.add_argument("--jobs", type=_positive, default=1,
-                       help="checked to be at least 1; one word is searched in one process")
 
     def add_dot(p):
         p.add_argument("--dot", default=None, metavar="PATH",
                        help="write the witness automaton as Graphviz DOT")
 
-    word_cmd("compute", _cmd_compute, "exact A_N with witness and certificate",
-             extra=(add_jobs, add_dot))
-    word_cmd("bound", _cmd_bound, "cyclic power upper bound and hyde bound",
-             extra=(add_dot,))
-    p = word_cmd("classify", _cmd_classify, "is A_N(w) > |w|/c", extra=(add_jobs,))
+    p = word_cmd("compute", _cmd_compute, "exact A_N with witness and certificate")
+    add_dot(p)
+    p.add_argument("--jobs", type=_positive, default=1,
+                   help="checked to be at least 1; one word is searched in one process")
+    add_dot(word_cmd("bound", _cmd_bound, "cyclic power upper bound and hyde bound"))
+    p = word_cmd("classify", _cmd_classify, "is A_N(w) > |w|/c")
     p.add_argument("--c", type=_positive, required=True)
-    word_cmd("simple", _cmd_simple, "is A_N(w) below the universal bound",
-             extra=(add_jobs,))
+    word_cmd("simple", _cmd_simple, "is A_N(w) below the universal bound")
     p = word_cmd("power", _cmd_power, "fractional power of a word")
     p.add_argument("--exp", type=_fraction, required=True, help="exponent p/q")
     word_cmd("squarefree", _cmd_squarefree, "test squarefreeness")
@@ -400,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", type=_positive, default=None)
     p.set_defaults(func=_cmd_shuffle)
 
-    p = word_cmd("morphism", _cmd_morphism, "apply a named morphism")
-    p.add_argument("--name", default="brandenburg")
+    word_cmd("morphism", _cmd_morphism, "apply Brandenburg's squarefree-preserving morphism",
+             with_json=False)
 
     p = sub.add_parser("construct", help="low-complexity word matching position constraints")
     p.add_argument("--n", type=int, required=True)
@@ -412,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-wildcards", action="store_true",
                    help="render unconstrained cells as a fresh letter instead of 0")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--dot", default=None, metavar="PATH")
+    add_dot(p)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("table", help="worst-case best bound by constraint count and length")
@@ -430,13 +428,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", type=int)
     p.set_defaults(func=_cmd_theta)
 
-    p = sub.add_parser("gf2", help="multilinear GF(2) polynomial operations")
-    p.add_argument("operation", choices=("or", "an1", "degree", "anf"))
+    gf2 = sub.add_parser("gf2", help="multilinear GF(2) polynomial operations")
+    operations = gf2.add_subparsers(dest="operation", required=True, prog="acx gf2")
+
+    def gf2_cmd(name, func, help_text):
+        p = operations.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=func)
+        return p
+
+    for name, help_text in (("or", "the OR of n variables"),
+                            ("an1", "the indicator of the two constant words")):
+        p = gf2_cmd(name, _cmd_gf2_family, help_text)
+        p.add_argument("--vars", type=int, required=True)
+    p = gf2_cmd("degree", _cmd_gf2_degree, "degree of a polynomial such as xy+x+y")
+    p.add_argument("--poly", required=True)
     p.add_argument("--vars", type=int, default=None)
-    p.add_argument("--poly", default=None)
-    p.add_argument("--table", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_gf2)
+    p = gf2_cmd("anf", _cmd_gf2_anf, "algebraic normal form of a truth table")
+    p.add_argument("--table", required=True)
 
     p = sub.add_parser("survey", help="empirical concentration of A_N on random words")
     p.add_argument("--n", type=_positive, required=True)
@@ -453,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("paper", "oracle", "sandwich"), required=True)
     p.add_argument("--n-max", type=_nonnegative, default=6)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import EmptyBase, NotAPower, SearchExhausted
+from .errors import EmptyBase, NotAPower
 from .nfa import Nfa, uniquely_accepts
-from .words import Rational, Word, as_fraction, contains_alpha_power
+from .words import Rational, Word, contains_alpha_power
 
 _OLD_EDGE = ("old",)
 
@@ -285,7 +285,7 @@ def _decide(searches: dict, letters: tuple[int, ...]) -> tuple[int, tuple[int, .
             return q, seq, exhausted_nodes, mode
         exhausted_nodes += level_nodes
     if not bracketed:
-        raise SearchExhausted(f"no witness with at most {top} states, against Hyde's bound")
+        raise RuntimeError(f"no witness with at most {top} states, against Hyde's bound")
     return top + 1, prefix[1] + (top,), exhausted_nodes, "factor-bracket"
 
 
@@ -354,7 +354,7 @@ def cyclic_witness(x: Word, alpha: Rational) -> Nfa:
     one walk of each length from state 0; placing the final state at
     offset |x| mod v makes it accept x uniquely, giving A_N(x) <= v.
     """
-    alpha = as_fraction(alpha)
+    alpha = Fraction(alpha)
     n = len(x)
     if n == 0:
         raise NotAPower("the empty word has no period prefix")
@@ -422,7 +422,7 @@ def power_bound_implication_holds(w: Word, alpha: Rational) -> bool:
     Holds for every integer alpha >= 1; rational alpha are accepted so the
     known counterexamples slightly above 2 can be probed.
     """
-    alpha = as_fraction(alpha)
+    alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError(f"alpha must be at least 1, got {alpha}")
     if an_exact(w).value * alpha <= len(w):

@@ -55,7 +55,3 @@ class TooManyVariables(AcxError):
 
 class VerificationFailed(AcxError):
     """A verification suite clause did not hold; the message names it."""
-
-
-class SearchExhausted(AcxError):
-    """The search space was exhausted without a witness (bad caller cap)."""

@@ -21,7 +21,6 @@ from .nfa import Nfa, uniquely_accepts
 from .words import (
     Rational,
     Word,
-    as_fraction,
     contains_square,
     enumerate_squarefree,
     is_square,
@@ -205,16 +204,21 @@ def shuffle_family_check(n: int) -> dict:
     }
 
 
-def oracle_cross_check(n_max: int = 6, q_max: int = 3) -> SweepReport:
+# the most states full_enumeration_minima enumerates
+_ORACLE_Q_MAX = 3
+
+
+def oracle_cross_check(n_max: int = 6) -> SweepReport:
     """Path-induced search against full transition-relation enumeration.
 
     The brute-force side enumerates every transition relation and final
-    set; agreement is required for every binary word up to n_max, with
-    words beyond q_max states required to be absent from the brute table.
+    set with up to _ORACLE_Q_MAX states; agreement is required for every
+    binary word up to n_max, with words that need more states required to
+    be absent from the brute table.
     Each word is searched on its own, without a shared dict, so that the
     check covers the search itself and not values bracketed by factors.
     """
-    minima = full_enumeration_minima(2, n_max, q_max)
+    minima = full_enumeration_minima(2, n_max, _ORACLE_Q_MAX)
     violations = []
     checked = 0
     for n in range(n_max + 1):
@@ -223,7 +227,7 @@ def oracle_cross_check(n_max: int = 6, q_max: int = 3) -> SweepReport:
             checked += 1
             mine = an_exact(w).value
             brute = minima.get(w)
-            ok = (brute == mine) if mine <= q_max else (brute is None)
+            ok = (brute == mine) if mine <= _ORACLE_Q_MAX else (brute is None)
             if not ok:
                 violations.append(f"{w}: path-induced {mine}, brute {brute}")
     return SweepReport(name="oracle", checked=checked, violations=tuple(violations))
@@ -286,7 +290,7 @@ def survey(
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
-    epsilon = as_fraction(epsilon)
+    epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be above 0, got {epsilon}")
     rng = DeterministicRng(seed)

@@ -17,6 +17,9 @@ from .errors import ArityMismatch, BadLength, ParseError, TooManyVariables
 # dense constructions double per variable; beyond this they stop being useful
 _DENSE_CAP = 20
 
+# is_zero_function evaluates every assignment, up to 2^_ZERO_CHECK_CAP of them
+_ZERO_CHECK_CAP = 12
+
 _LETTER_VARS = "xyz"
 
 
@@ -32,7 +35,8 @@ class MultilinearPoly:
         if self.n < 0:
             raise ValueError("number of variables must be nonnegative")
         for m in self.monomials:
-            if m < 0 or m >= 1 << self.n:
+            # m < 2^n, without building 2^n for a large n
+            if m < 0 or m.bit_length() > self.n:
                 raise ValueError(f"monomial mask {m} outside {self.n} variables")
 
     def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
@@ -173,15 +177,17 @@ def _xor_subset_transform(vec: Sequence[int]) -> list[int]:
     return out
 
 
-def is_zero_function(p: MultilinearPoly, limit: int = 12) -> bool:
+def is_zero_function(p: MultilinearPoly) -> bool:
     """True iff p evaluates to 0 on every assignment (checked exhaustively).
 
     Deliberately independent of the transform machinery: it loops over all
     2^n assignments and evaluates directly, so it can serve as the oracle
     side of the formal-equals-functional-zero check.
     """
-    if p.n > limit:
-        raise TooManyVariables(f"would evaluate 2^{p.n} assignments (limit 2^{limit})")
+    if p.n > _ZERO_CHECK_CAP:
+        raise TooManyVariables(
+            f"would evaluate 2^{p.n} assignments (limit 2^{_ZERO_CHECK_CAP})"
+        )
     for mask in range(1 << p.n):
         assignment = [(mask >> i) & 1 for i in range(p.n)]
         if evaluate(p, assignment):
@@ -205,7 +211,7 @@ def format_poly(p: MultilinearPoly) -> str:
         return "0"
 
     def key(mask: int):
-        indices = tuple(i for i in range(p.n) if (mask >> i) & 1)
+        indices = tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
         return (-len(indices), indices)
 
     terms = []
@@ -214,7 +220,9 @@ def format_poly(p: MultilinearPoly) -> str:
             terms.append("1")
         else:
             terms.append(
-                "".join(_var_name(i, p.n) for i in range(p.n) if (mask >> i) & 1)
+                "".join(
+                    _var_name(i, p.n) for i in range(mask.bit_length()) if (mask >> i) & 1
+                )
             )
     return "+".join(terms)
 

@@ -19,8 +19,6 @@ from typing import Optional, Sequence
 from .complexity import an_exact
 from .words import Word
 
-WILDCARD = None
-
 # the largest x that primorial, chebyshev_theta and rosser_sweep sieve up
 # to: the sieve holds one byte per integer up to x
 SIEVE_LIMIT = 10**7
@@ -73,15 +71,9 @@ def chebyshev_theta(x: int) -> float:
     return sum(math.log(p) for p in _sieve(x))
 
 
-def rosser_check(x: float) -> bool:
-    """The classical lower bound x(1 - 1/ln x) < theta(x), valid for x >= 41."""
-    if x < 41:
-        raise ValueError("the bound is only asserted for x >= 41")
-    return x * (1 - 1 / math.log(x)) < chebyshev_theta(int(x))
-
-
 def rosser_sweep(lo: int, hi: int) -> list[int]:
-    """Integers in [lo, hi] violating the theta lower bound (expected: none).
+    """Integers in [lo, hi] violating the classical lower bound
+    x(1 - 1/ln x) < theta(x), which holds for x >= 41 (expected: none).
 
     Shares one sieve across the sweep instead of re-sieving per point.
     """
@@ -174,23 +166,23 @@ class PositionConstraint:
 
 @dataclass(frozen=True)
 class ModularWitness:
-    """A modulus, a wildcard template, and the repeated word it generates."""
+    """A modulus, a template with None for wildcards, and the repeated word
+    it generates, whose complexity is at most the modulus."""
 
     modulus: int
     template: tuple[Optional[int], ...]
     word: Word
-    bound: int
 
     @property
     def template_text(self) -> str:
-        return "".join("?" if c is WILDCARD else str(c) for c in self.template)
+        return "".join("?" if c is None else str(c) for c in self.template)
 
     def to_json_dict(self) -> dict:
         return {
             "m": self.modulus,
             "z_template": self.template_text,
             "x": str(self.word),
-            "bound": self.bound,
+            "bound": self.modulus,
         }
 
 
@@ -198,39 +190,23 @@ def build_low_complexity_word(
     constraint: PositionConstraint,
     mode: str = "smallest_integer",
     *,
-    allow_shared_residue: bool = False,
     fill: Optional[int] = 0,
 ) -> ModularWitness:
     """A word of length n matching the constraint with complexity at most m.
 
     mode picks the modulus: the least separating integer or the least
-    separating prime.  With allow_shared_residue, a modulus is also accepted
-    when colliding positions prescribe the same letter (a strict extension
-    of the separation condition, off by default).  Template cells not fixed
-    by any constraint are wildcards; they concretize to ``fill`` (letter 0
-    by default), or to a fresh letter k when fill is None.
+    separating prime.  Template cells not fixed by any constraint are
+    wildcards (None); they concretize to ``fill`` (letter 0 by default), or
+    to a fresh letter k when fill is None.
     """
     if mode not in ("smallest_integer", "smallest_prime"):
         raise ValueError(f"unknown modulus mode {mode!r}")
-
-    def template_for(m: int) -> Optional[list[Optional[int]]]:
-        cells: list[Optional[int]] = [WILDCARD] * m
-        for a, b in zip(constraint.positions, constraint.bits):
-            r = a % m
-            if cells[r] is not WILDCARD and cells[r] != b:
-                return None
-            cells[r] = b
-        return cells
-
-    if allow_shared_residue:
-        m = 1 if mode == "smallest_integer" else 2
-        while (mode == "smallest_prime" and not _is_prime(m)) or template_for(m) is None:
-            m += 1
-    else:
-        search = find_modulus(constraint.positions)
-        m = search.smallest_integer if mode == "smallest_integer" else search.smallest_prime
-    # either route picks an m whose template is consistent
-    cells = template_for(m)
+    search = find_modulus(constraint.positions)
+    m = search.smallest_integer if mode == "smallest_integer" else search.smallest_prime
+    # m separates the positions, so no two of them share a cell
+    cells: list[Optional[int]] = [None] * m
+    for a, b in zip(constraint.positions, constraint.bits):
+        cells[a % m] = b
 
     if fill is None:
         fill_letter = constraint.k
@@ -241,14 +217,13 @@ def build_low_complexity_word(
         fill_letter = fill
         word_k = constraint.k
     letters = tuple(
-        cells[i % m] if cells[i % m] is not WILDCARD else fill_letter
+        cells[i % m] if cells[i % m] is not None else fill_letter
         for i in range(constraint.n)
     )
     return ModularWitness(
         modulus=m,
         template=tuple(cells),
         word=Word(letters, word_k),
-        bound=m,
     )
 
 

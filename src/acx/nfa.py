@@ -31,13 +31,12 @@ class SatCount(enum.Enum):
 
 @dataclass(frozen=True)
 class Nfa:
-    """An NFA normalized so that the initial state is 0."""
+    """An NFA whose initial state is 0."""
 
     q: int
     k: int
     transitions: frozenset[tuple[int, int, int]]
     finals: frozenset[int]
-    initial: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", frozenset(self.transitions))
@@ -46,8 +45,6 @@ class Nfa:
             raise ValueError(f"need at least one state, got q={self.q}")
         if self.k < 1:
             raise ValueError(f"alphabet size must be positive, got k={self.k}")
-        if self.initial != 0:
-            raise ValueError("the initial state is normalized to 0")
         for p, a, t in self.transitions:
             if not (0 <= p < self.q and 0 <= t < self.q):
                 raise ValueError(f"transition ({p},{a},{t}) references a missing state")

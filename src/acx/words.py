@@ -27,11 +27,6 @@ from .errors import (
 Rational = Union[int, str, Fraction]
 
 
-def as_fraction(value: Rational) -> Fraction:
-    """Coerce ints, Fractions, and "p/q" strings to an exact Fraction."""
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class Word:
     """A finite word over the alphabet {0, ..., k-1}."""
@@ -102,7 +97,7 @@ class PowerSpec:
     exponent: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "exponent", as_fraction(self.exponent))
+        object.__setattr__(self, "exponent", Fraction(self.exponent))
         if len(self.base) == 0:
             raise EmptyBase("power of the empty word is undefined")
         if self.exponent < 1:
@@ -141,7 +136,7 @@ def contains_alpha_power(w: Word, alpha: Rational) -> Optional[Occurrence]:
     The reported occurrence is the leftmost one, breaking ties by shortest
     period, with the window extended as far as it goes.
     """
-    alpha = as_fraction(alpha)
+    alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError(f"alpha must be at least 1, got {alpha}")
     letters = w.letters

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -6,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acx.cli import build_parser, main
 
@@ -75,12 +79,8 @@ class TestWordCommands:
         assert code == 0 and out.strip() == "0213"
 
     def test_morphism(self, capsys):
-        code, out, _ = run(capsys, "morphism", "0", "--name", "brandenburg")
+        code, out, _ = run(capsys, "morphism", "0")
         assert code == 0 and out.strip() == "0102012021012102010212"
-
-    def test_unknown_morphism(self, capsys):
-        code, _, err = run(capsys, "morphism", "0", "--name", "nope")
-        assert code == 1 and "unknown morphism" in err
 
     def test_classify(self, capsys):
         code, out, _ = run(capsys, "classify", "010", "--c", "3", "--json")
@@ -182,14 +182,14 @@ class TestSurveyAndVerify:
         assert data["samples"] == 30
 
     def test_verify_paper(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "paper", "--json")
+        code, out, _ = run(capsys, "verify", "--suite", "paper")
         assert code == 0
         data = json.loads(out)
         assert data["reference_word"]["clause_c_exact_value"] == 8
         assert data["shuffle_family"]["ok"]
 
     def test_verify_sandwich_small(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "sandwich", "--n-max", "5", "--json")
+        code, out, _ = run(capsys, "verify", "--suite", "sandwich", "--n-max", "5")
         assert code == 0
         assert json.loads(out)["ok"]
 
@@ -217,10 +217,10 @@ class TestUsageErrors:
             ("classify", "01", "--c", "0"),
             ("compute", "01", "--jobs", "0"),
             ("compute", "01", "--jobs", "-3"),
-            ("classify", "01", "--c", "2", "--jobs", "0"),
-            ("classify", "01", "--c", "2", "--jobs", "-3"),
-            ("simple", "01", "--jobs", "0"),
-            ("simple", "01", "--jobs", "-3"),
+            ("classify", "01", "--c", "-3"),
+            ("classify", "01", "--c", "2", "--alphabet", "0"),
+            ("simple", "01", "--alphabet", "0"),
+            ("simple", "01", "--alphabet", "-3"),
             ("survey", "--n", "4", "--jobs", "0"),
             ("survey", "--n", "4", "--jobs", "-3"),
             ("verify", "--suite", "sandwich", "--n-max", "-2"),
@@ -348,6 +348,13 @@ class TestDomainErrors:
             # above the prime sieve's cap
             ("primorial", "100000000000000000000"),
             ("theta", "100000000000000000000"),
+            # a word with more than 10 letters does not print one digit per
+            # letter, whether it is read or built
+            ("compute", "01", "--alphabet", "11"),
+            ("construct", "--n", "3", "--positions", "0", "--bits", "10", "--alphabet", "11"),
+            # the fresh wildcard letter is letter 10
+            ("construct", "--n", "3", "--positions", "0", "--bits", "1", "--alphabet", "10",
+             "--keep-wildcards"),
         ],
     )
     def test_exit_one_with_error_line(self, capsys, argv):
@@ -381,11 +388,172 @@ class TestDomainErrors:
 
 class TestVerifyNMax:
     def test_zero_checks_the_empty_word_only(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "oracle", "--n-max", "0", "--json")
+        code, out, _ = run(capsys, "verify", "--suite", "oracle", "--n-max", "0")
         assert code == 0
         assert json.loads(out)["checked"] == 1
 
     def test_default_is_six(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "sandwich", "--json")
+        code, out, _ = run(capsys, "verify", "--suite", "sandwich")
         assert code == 0
         assert json.loads(out)["checked"] == sum(3**n for n in range(7))
+
+
+def leaf_parsers(parser, path=()):
+    """(subcommand, parser) for every parser without subcommands of its own."""
+    nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not nested:
+        yield " ".join(path), parser
+    for action in nested:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, path + (name,))
+
+
+# valid argv that run quickly, per subcommand; "{dot}" is a writable path
+CHEAP_ARGV = {
+    "compute": [["01", "--alphabet", "3", "--json", "--jobs", "1", "--dot", "{dot}"]],
+    "bound": [["0110", "--alphabet", "2", "--json", "--dot", "{dot}"]],
+    "classify": [["01", "--c", "2", "--alphabet", "2", "--json"]],
+    "simple": [["01", "--alphabet", "2", "--json"]],
+    "power": [["01", "--exp", "3/2", "--alphabet", "2", "--json"]],
+    "squarefree": [["010", "--alphabet", "2", "--json"]],
+    "overlapfree": [["010", "--alphabet", "2", "--json"]],
+    "shuffle": [["01", "10", "--alphabet", "2"]],
+    "morphism": [["01", "--alphabet", "3"]],
+    "construct": [
+        ["--n", "6", "--positions", "0,3", "--bits", "1,0", "--prime", "--alphabet", "2",
+         "--keep-wildcards", "--json", "--dot", "{dot}"],
+    ],
+    "table": [["--max-c", "2", "--max-n", "3", "--csv"], ["--json"]],
+    "primorial": [["10"]],
+    "theta": [["10"]],
+    "gf2 or": [["--vars", "2", "--json"]],
+    "gf2 an1": [["--vars", "3"]],
+    "gf2 degree": [["--poly", "xy+x", "--vars", "2", "--json"]],
+    "gf2 anf": [["--table", "0001", "--json"]],
+    "survey": [["--n", "4", "--samples", "2", "--seed", "1", "--eps", "1/2",
+                "--alphabet", "2", "--jobs", "1", "--json"]],
+    "verify": [["--suite", "sandwich", "--n-max", "2"]],
+}
+
+# set by argparse itself, not by an option
+NOT_OPTIONS = {"help", "func", "command", "operation"}
+
+
+class TestEveryOptionIsRead:
+    """Each option a subcommand defines is read by its handler on some argv.
+
+    This catches an option that no handler looks at.  It does not catch one
+    that is read and then ignored.
+    """
+
+    def test_every_subcommand_has_argv(self):
+        assert {name for name, _ in leaf_parsers(build_parser())} == set(CHEAP_ARGV)
+
+    @pytest.mark.parametrize("name", sorted(CHEAP_ARGV))
+    def test_every_dest_is_read(self, capsys, tmp_path, name):
+        read = set()
+
+        class Recorder(argparse.Namespace):
+            def __getattribute__(self, attr):
+                read.add(attr)
+                return super().__getattribute__(attr)
+
+        for tail in CHEAP_ARGV[name]:
+            argv = name.split() + [a.format(dot=tmp_path / "w.dot") for a in tail]
+            args = build_parser().parse_args(argv)
+            assert args.func(Recorder(**vars(args))) == 0, argv
+        capsys.readouterr()
+        parser = dict(leaf_parsers(build_parser()))[name]
+        dests = {action.dest for action in parser._actions} - NOT_OPTIONS
+        assert dests <= read, f"{name} never reads {sorted(dests - read)}"
+
+
+def _required(flag, values):
+    """``flag`` followed by one of ``values``."""
+    return values.map(lambda v: [flag, str(v)])
+
+
+def _option(flag, values):
+    """Either nothing or ``flag`` followed by one of ``values``."""
+    return st.one_of(st.just([]), _required(flag, values))
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+# Words up to length 8, one letter not a digit; small integers and one far
+# too large; fractions, some with a zero denominator.  The values that set
+# the cost of a run (table, survey and verify sizes, construct lengths and
+# power exponents) stay small, and --jobs is 1.
+_WORDS = st.text(alphabet="0129x", max_size=8).map(lambda w: [w])
+_SMALL = st.integers(-3, 12)
+_INTS = st.one_of(_SMALL, st.just(10**20))
+_TINY = st.integers(-2, 4)
+_FRACTIONS = st.tuples(st.integers(-3, 6), st.sampled_from([0, 1, 2, 3, 10**20])).map(
+    lambda pq: f"{pq[0]}/{pq[1]}"
+)
+_ALPHABET = _option("--alphabet", st.integers(-1, 12))
+_JSON = _flag("--json")
+_LISTS = st.lists(st.one_of(_INTS, st.just("x")), max_size=4).map(
+    lambda xs: ",".join(map(str, xs))
+)
+
+
+def _word_cmd(name, *extra):
+    return _argv(st.just([name]), _WORDS, _ALPHABET, _JSON, *extra)
+
+
+# verify --suite oracle is left out: it enumerates 2^18 automata whatever
+# --n-max is
+CLI_ARGV = st.one_of(
+    _word_cmd("compute", _option("--jobs", st.just(1))),
+    _word_cmd("bound"),
+    _word_cmd("classify", _required("--c", _INTS)),
+    _word_cmd("simple"),
+    _word_cmd("power", _required("--exp", _FRACTIONS)),
+    _word_cmd("squarefree"),
+    _word_cmd("overlapfree"),
+    _argv(st.just(["shuffle"]), _WORDS, _WORDS, _ALPHABET),
+    _argv(st.just(["morphism"]), _WORDS, _ALPHABET),
+    _argv(st.just(["construct"]), _required("--n", _SMALL), _required("--positions", _LISTS),
+          _required("--bits", _LISTS), _flag("--prime"), _ALPHABET, _flag("--keep-wildcards"),
+          _JSON),
+    _argv(st.just(["table"]), _option("--max-c", _TINY), _option("--max-n", _TINY),
+          _flag("--csv"), _JSON),
+    _argv(st.sampled_from([["primorial"], ["theta"]]), _INTS.map(lambda x: [str(x)])),
+    _argv(st.sampled_from([["gf2", "or"], ["gf2", "an1"]]), _required("--vars", _INTS), _JSON),
+    _argv(st.just(["gf2", "degree"]), _required("--poly", st.text("xyz01+", max_size=8)),
+          _option("--vars", _INTS), _JSON),
+    _argv(st.just(["gf2", "anf"]), _required("--table", st.text("012", max_size=8)), _JSON),
+    _argv(st.just(["survey"]), _required("--n", _TINY), _option("--samples", _TINY),
+          _option("--seed", _INTS), _option("--eps", _FRACTIONS), _ALPHABET,
+          _option("--jobs", st.just(1)), _JSON),
+    _argv(st.just(["verify"]), _required("--suite", st.sampled_from(["paper", "sandwich"])),
+          _option("--n-max", _TINY)),
+)
+
+
+class TestCliContract:
+    """Exit 0, 1 or 2, never a traceback, and an error or usage line on 1 and 2."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(CLI_ARGV)
+    def test_exit_code_and_stderr(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        text = err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in text, argv
+        if code:
+            assert any(
+                line.startswith(("error: ", "usage: ")) for line in text.splitlines()
+            ), (argv, text)

@@ -21,7 +21,7 @@ from acx.complexity import (
     power_bound_implication_holds,
     power_upper_bound,
 )
-from acx.errors import EmptyBase, NotAPower
+from acx.errors import AcxError, EmptyBase, NotAPower
 from acx.experiments import worker_count
 from acx.nfa import Nfa, uniquely_accepts
 from acx.words import Word
@@ -107,6 +107,13 @@ class TestAnExact:
         sequential = an_exact(w)
         parallel = an_exact(w, jobs=2)
         assert sequential == parallel
+
+    def test_no_witness_is_a_fault_not_a_domain_error(self, monkeypatch):
+        # Hyde's bound guarantees a witness, so a search without one is broken
+        monkeypatch.setattr(acx.complexity, "_search_level", lambda letters, q: (None, 0))
+        with pytest.raises(RuntimeError, match="Hyde") as caught:
+            an_exact(W("0110"))
+        assert not isinstance(caught.value, AcxError)
 
     def test_path_induced_equals_full_enumeration_small(self):
         minima = full_enumeration_minima(2, 4, 3)
@@ -251,7 +258,7 @@ def reversed_witness(nfa: Nfa) -> Nfa:
         q=nfa.q,
         k=nfa.k,
         transitions=frozenset((name[t], a, name[p]) for p, a, t in nfa.transitions),
-        finals=frozenset({name[nfa.initial]}),
+        finals=frozenset({name[0]}),
     )
 
 

@@ -224,7 +224,7 @@ class TestZeroFunction:
 
     def test_limit(self):
         with pytest.raises(TooManyVariables):
-            is_zero_function(or_poly(14), limit=12)
+            is_zero_function(or_poly(13))
 
 
 class TestTextFormat:
@@ -242,6 +242,14 @@ class TestTextFormat:
     def test_parse_roundtrip(self):
         for text in ("xy+x+y", "x+y+1", "0", "1", "xyz"):
             assert format_poly(parse_poly(text)) == text
+
+    def test_many_declared_variables(self):
+        # cost follows the monomials' bits, not the declared variable count
+        p = parse_poly("x1x3+1", n=10**20)
+        assert format_poly(p) == "x1x3+1"
+        assert degree(p) == 2
+        with pytest.raises(ValueError):
+            MultilinearPoly(2, frozenset({0b100}))
 
     def test_parse_numbered(self):
         p = parse_poly("x1x10", n=10)

@@ -17,7 +17,6 @@ from acx.modular import (
     format_table,
     primorial,
     residues,
-    rosser_check,
     rosser_sweep,
     table_best_bound,
     table_csv,
@@ -78,7 +77,8 @@ class TestBuildLowComplexityWord:
         witness = build_low_complexity_word(self.remark_constraint())
         assert witness.modulus == 14
         assert witness.template_text == "1??10101111010"
-        assert witness.bound == 14
+        assert witness.modulus == 14
+        assert witness.to_json_dict()["bound"] == 14
 
     def test_remark_word_agrees_and_is_certified(self):
         witness = build_low_complexity_word(self.remark_constraint())
@@ -93,7 +93,7 @@ class TestBuildLowComplexityWord:
         witness = build_low_complexity_word(PositionConstraint(n=6, positions=(), bits=()))
         assert witness.modulus == 1
         assert str(witness.word) == "000000"
-        assert witness.bound == 1
+        assert witness.to_json_dict()["bound"] == 1
 
     def test_small_constraint_verified_exactly(self):
         witness = build_low_complexity_word(
@@ -129,20 +129,6 @@ class TestBuildLowComplexityWord:
         witness = build_low_complexity_word(self.remark_constraint(), fill=None)
         assert witness.word.k == 3
         assert str(witness.word)[:3] == "122"
-
-    def test_shared_residue_extension(self):
-        # positions 0 and 4 collide mod 2 but ask for the same bit
-        constraint = PositionConstraint(n=6, positions=(0, 4), bits=(1, 1))
-        witness = build_low_complexity_word(constraint, allow_shared_residue=True)
-        assert witness.modulus == 1
-        assert str(witness.word) == "111111"
-
-    def test_shared_residue_conflict_moves_on(self):
-        constraint = PositionConstraint(n=6, positions=(0, 4), bits=(1, 0))
-        witness = build_low_complexity_word(constraint, allow_shared_residue=True)
-        assert witness.modulus == 3
-        assert witness.word.letters[0] == 1
-        assert witness.word.letters[4] == 0
 
     def test_constraint_validation(self):
         with pytest.raises(ValueError):
@@ -215,10 +201,10 @@ class TestNumberTheory:
         assert chebyshev_theta(10) == pytest.approx(math.log(210))
 
     def test_rosser_small(self):
-        assert rosser_check(41)
-        assert rosser_check(100)
+        assert rosser_sweep(41, 41) == []
+        assert rosser_sweep(41, 100) == []
         with pytest.raises(ValueError):
-            rosser_check(40)
+            rosser_sweep(40, 41)
 
     def test_rosser_sweep_small(self):
         assert rosser_sweep(41, 20000) == []

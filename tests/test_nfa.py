@@ -179,6 +179,13 @@ class TestSerialization:
         with pytest.raises(ParseError):
             from_json(text)
 
+    def test_rejects_initial_other_than_zero(self):
+        text = json.dumps(
+            {"q": 2, "k": 1, "initial": 1, "finals": [0], "transitions": []}
+        )
+        with pytest.raises(ParseError, match="initial"):
+            from_json(text)
+
     def test_rejects_bad_json(self):
         with pytest.raises(ParseError):
             from_json("{not json")
@@ -192,10 +199,6 @@ class TestSerialization:
 
 
 class TestInvariants:
-    def test_rejects_bad_initial(self):
-        with pytest.raises(ValueError):
-            Nfa(q=2, k=1, transitions=frozenset(), finals=frozenset(), initial=1)
-
     def test_rejects_out_of_range_transition(self):
         with pytest.raises(ValueError):
             Nfa(q=1, k=1, transitions=frozenset({(0, 0, 1)}), finals=frozenset())
