@@ -51,12 +51,9 @@ from .modular import (
 )
 from .nfa import (
     Nfa,
-    SatCount,
     accepts_spelling,
     count_length_n_accepting_paths,
-    from_json,
     to_dot,
-    to_json,
     uniquely_accepts,
 )
 from .words import (

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Words are digit strings (one character per letter, alphabet size at most
-10 on the command line).  Output is plain text by default and JSON with
---json; identical invocations produce byte-identical output.  Exit codes:
-0 success, 1 domain error, 2 usage error.
+Words are strings of ASCII digits (one character per letter, alphabet
+size at most 10 on the command line).  Output is plain text by default and
+JSON with --json; identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -416,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="worst-case best bound by constraint count and length")
     p.add_argument("--max-c", type=_nonnegative, default=6)
     p.add_argument("--max-n", type=_nonnegative, default=6)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--csv", action="store_true")
+    form.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("primorial", help="product of primes up to x")

@@ -430,21 +430,26 @@ def power_bound_implication_holds(w: Word, alpha: Rational) -> bool:
     return True
 
 
-def full_enumeration_minima(k: int, n_max: int, q_max: int) -> dict[Word, int]:
+# the most states full_enumeration_minima enumerates: 2^18 binary transition
+# relations at q = 3, and 2^32 at q = 4
+ORACLE_Q_MAX = 3
+
+
+def full_enumeration_minima(k: int, n_max: int) -> dict[Word, int]:
     """Minimum witness sizes by brute force over every transition relation.
 
-    For each state count q <= q_max, every subset of Q x [k] x Q is tried.
-    An automaton whose total accepting-walk count at length n is exactly
-    one uniquely accepts exactly one word of length n, namely the word the
-    single walk spells, so that word's minimum is recorded.  Returns a map
-    from each word of length <= n_max to its least q <= q_max; words absent
-    from the map need more than q_max states.  Independent of the
-    path-induced search: no canonical form, no pruning.
+    For each state count q up to ORACLE_Q_MAX, every subset of Q x [k] x Q
+    is tried.  An automaton whose total accepting-walk count at length n is
+    exactly one uniquely accepts exactly one word of length n, namely the
+    word the single walk spells, so that word's minimum is recorded.
+    Returns a map from each word of length <= n_max to its least q <=
+    ORACLE_Q_MAX; words absent from the map need more states.  Hyde's bound
+    holds for every word, so the enumeration stops at hyde_bound(n_max)
+    states when that is smaller.  Independent of the path-induced search:
+    no canonical form, no pruning.
     """
-    if q_max > 3:
-        raise ValueError("full enumeration beyond q = 3 is not desk feasible")
     best: dict[tuple[int, ...], int] = {}
-    for q in range(1, q_max + 1):
+    for q in range(1, min(ORACLE_Q_MAX, hyde_bound(n_max)) + 1):
         edges_all = [(p, a, t) for p in range(q) for a in range(k) for t in range(q)]
         n_edges = len(edges_all)
         for mask in range(1 << n_edges):

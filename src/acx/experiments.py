@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .complexity import an_exact, full_enumeration_minima, hyde_bound
+from .complexity import ORACLE_Q_MAX, an_exact, full_enumeration_minima, hyde_bound
 from .errors import VerificationFailed
 from .nfa import Nfa, uniquely_accepts
 from .words import (
@@ -56,10 +56,6 @@ class DeterministicRng:
             u = self.next_u64()
             if u < bound:
                 return u % k
-
-
-def random_word(n: int, k: int, rng: DeterministicRng) -> Word:
-    return Word(tuple(rng.below(k) for _ in range(n)), k)
 
 
 REFERENCE_WORD = Word.from_text("12312301234112341", k=5)
@@ -204,21 +200,17 @@ def shuffle_family_check(n: int) -> dict:
     }
 
 
-# the most states full_enumeration_minima enumerates
-_ORACLE_Q_MAX = 3
-
-
 def oracle_cross_check(n_max: int = 6) -> SweepReport:
     """Path-induced search against full transition-relation enumeration.
 
     The brute-force side enumerates every transition relation and final
-    set with up to _ORACLE_Q_MAX states; agreement is required for every
+    set with up to ORACLE_Q_MAX states; agreement is required for every
     binary word up to n_max, with words that need more states required to
     be absent from the brute table.
     Each word is searched on its own, without a shared dict, so that the
     check covers the search itself and not values bracketed by factors.
     """
-    minima = full_enumeration_minima(2, n_max, _ORACLE_Q_MAX)
+    minima = full_enumeration_minima(2, n_max)
     violations = []
     checked = 0
     for n in range(n_max + 1):
@@ -227,7 +219,7 @@ def oracle_cross_check(n_max: int = 6) -> SweepReport:
             checked += 1
             mine = an_exact(w).value
             brute = minima.get(w)
-            ok = (brute == mine) if mine <= _ORACLE_Q_MAX else (brute is None)
+            ok = (brute == mine) if mine <= ORACLE_Q_MAX else (brute is None)
             if not ok:
                 violations.append(f"{w}: path-induced {mine}, brute {brute}")
     return SweepReport(name="oracle", checked=checked, violations=tuple(violations))

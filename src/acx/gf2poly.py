@@ -20,6 +20,10 @@ _DENSE_CAP = 20
 # is_zero_function evaluates every assignment, up to 2^_ZERO_CHECK_CAP of them
 _ZERO_CHECK_CAP = 12
 
+# parse_poly reads variable indices up to this; a monomial's mask holds one
+# bit per variable, so xN alone costs N bits
+_MAX_VARS = 4096
+
 _LETTER_VARS = "xyz"
 
 
@@ -38,19 +42,6 @@ class MultilinearPoly:
             # m < 2^n, without building 2^n for a large n
             if m < 0 or m.bit_length() > self.n:
                 raise ValueError(f"monomial mask {m} outside {self.n} variables")
-
-    def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        return add(self, other)
-
-    def __mul__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        return mul(self, other)
-
-    def __str__(self) -> str:
-        return format_poly(self)
-
-
-def zero(n: int) -> MultilinearPoly:
-    return MultilinearPoly(n, frozenset())
 
 
 def one(n: int) -> MultilinearPoly:
@@ -231,9 +222,10 @@ def parse_poly(text: str, n: int | None = None) -> MultilinearPoly:
     """Parse the format_poly grammar: monomials joined by '+'.
 
     A monomial is '1', or a product of variables written as the letters
-    x, y, z or as xN (N a 1-based index).  '0' alone is the zero
-    polynomial.  Repeated variables inside a monomial collapse (x^2 = x);
-    repeated monomials cancel in pairs.
+    x, y, z or as xN (N a 1-based index, at most n when n is given and
+    at most _MAX_VARS in any case).  '0' alone is the zero polynomial.
+    Repeated variables inside a monomial collapse (x^2 = x); repeated
+    monomials cancel in pairs.
     """
     text = text.strip().replace(" ", "")
     if not text:
@@ -254,9 +246,9 @@ def parse_poly(text: str, n: int | None = None) -> MultilinearPoly:
             ch = term[i]
             if ch not in "xyz":
                 raise ParseError(f"unexpected character {ch!r} in monomial {term!r}")
-            if ch == "x" and i + 1 < len(term) and term[i + 1].isdigit():
+            if ch == "x" and i + 1 < len(term) and "0" <= term[i + 1] <= "9":
                 j = i + 1
-                while j < len(term) and term[j].isdigit():
+                while j < len(term) and "0" <= term[j] <= "9":
                     j += 1
                 index = int(term[i + 1 : j])
                 if index < 1:
@@ -265,11 +257,12 @@ def parse_poly(text: str, n: int | None = None) -> MultilinearPoly:
             else:
                 index = _LETTER_VARS.index(ch) + 1
                 i += 1
+            # checked before the shift, which costs index bits
+            if n is not None and index > n:
+                raise ParseError(f"variable x{index} outside the declared {n} variables")
+            if index > _MAX_VARS:
+                raise ParseError(f"variable x{index} above the limit of {_MAX_VARS} variables")
             mask |= 1 << (index - 1)
             max_index = max(max_index, index)
         masks ^= {mask}
-    if n is None:
-        n = max_index
-    elif max_index > n:
-        raise ParseError(f"variable x{max_index} outside the declared {n} variables")
-    return MultilinearPoly(n, frozenset(masks))
+    return MultilinearPoly(max_index if n is None else n, frozenset(masks))

@@ -9,24 +9,10 @@ transitions between the same states on different letters are two choices.
 
 from __future__ import annotations
 
-import enum
-import json
 from dataclasses import dataclass
 
-from .errors import AlphabetMismatch, ParseError
+from .errors import AlphabetMismatch
 from .words import Word
-
-
-class SatCount(enum.Enum):
-    """A walk count saturated at two: zero, one, or many."""
-
-    ZERO = 0
-    ONE = 1
-    MANY = 2
-
-    @classmethod
-    def from_count(cls, count: int) -> "SatCount":
-        return cls(min(count, 2))
 
 
 @dataclass(frozen=True)
@@ -71,11 +57,11 @@ def accepts_spelling(m: Nfa, w: Word) -> bool:
     return bool(current & m.finals)
 
 
-def count_length_n_accepting_paths(m: Nfa, n: int) -> SatCount:
-    """Saturating count of length-n walks from state 0 into a final state.
+def count_length_n_accepting_paths(m: Nfa, n: int) -> int:
+    """Length-n walks from state 0 into a final state, capped at 2.
 
-    Dynamic program over (step, state); counts are capped at 2, which is
-    all unique-acceptance checking needs.
+    Dynamic program over (step, state); 0, 1 or 2 (two or more) is all
+    unique-acceptance checking needs.
     """
     if n < 0:
         raise ValueError("walk length must be nonnegative")
@@ -94,15 +80,15 @@ def count_length_n_accepting_paths(m: Nfa, n: int) -> SatCount:
     for f in m.finals:
         total += counts[f]
         if total >= 2:
-            return SatCount.MANY
-    return SatCount.from_count(total)
+            return 2
+    return total
 
 
 def uniquely_accepts(m: Nfa, w: Word) -> bool:
     """Accepts w, and the accepting walk of length |w| is unique."""
     return (
         accepts_spelling(m, w)
-        and count_length_n_accepting_paths(m, len(w)) is SatCount.ONE
+        and count_length_n_accepting_paths(m, len(w)) == 1
     )
 
 
@@ -115,57 +101,6 @@ def to_json_dict(m: Nfa) -> dict:
         "finals": sorted(m.finals),
         "transitions": [[p, str(a), t] for p, a, t in sorted(m.transitions)],
     }
-
-
-def to_json(m: Nfa) -> str:
-    return json.dumps(to_json_dict(m))
-
-
-def from_json(text: str) -> Nfa:
-    """Parse the JSON form, rejecting out-of-range states and duplicates."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError("top level: expected an object")
-    for field in ("q", "k", "initial", "finals", "transitions"):
-        if field not in data:
-            raise ParseError(f"top level: missing field {field!r}")
-    q, k, initial = data["q"], data["k"], data["initial"]
-    if not isinstance(q, int) or q < 1:
-        raise ParseError(f"q: expected a positive integer, got {q!r}")
-    if not isinstance(k, int) or k < 1:
-        raise ParseError(f"k: expected a positive integer, got {k!r}")
-    if initial != 0:
-        raise ParseError(f"initial: must be 0, got {initial!r}")
-    finals = []
-    for i, f in enumerate(data["finals"]):
-        if not isinstance(f, int) or not 0 <= f < q:
-            raise ParseError(f"finals[{i}]: state {f!r} out of range for q={q}")
-        finals.append(f)
-    transitions = set()
-    for i, triple in enumerate(data["transitions"]):
-        if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
-            raise ParseError(f"transitions[{i}]: expected [state, letter, state]")
-        p, a, t = triple
-        if not isinstance(p, int) or not 0 <= p < q:
-            raise ParseError(f"transitions[{i}]: source state {p!r} out of range for q={q}")
-        if not isinstance(t, int) or not 0 <= t < q:
-            raise ParseError(f"transitions[{i}]: target state {t!r} out of range for q={q}")
-        if isinstance(a, str) and a.isdigit():
-            letter = int(a)
-        elif isinstance(a, int):
-            letter = a
-        else:
-            raise ParseError(f"transitions[{i}]: letter {a!r} is not a digit string")
-        if not 0 <= letter < k:
-            raise ParseError(f"transitions[{i}]: letter {letter} outside alphabet [{k}]")
-        key = (p, letter, t)
-        if key in transitions:
-            raise ParseError(f"transitions[{i}]: duplicate transition {key}")
-        transitions.add(key)
-    return Nfa(q=q, k=k, transitions=frozenset(transitions), finals=frozenset(finals))
 
 
 def to_dot(m: Nfa) -> str:

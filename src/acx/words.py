@@ -44,10 +44,10 @@ class Word:
 
     @classmethod
     def from_text(cls, text: str, k: Optional[int] = None) -> "Word":
-        """Parse a digit string; k defaults to 1 + the largest digit used."""
+        """Parse a string of ASCII digits; k defaults to 1 + the largest one."""
         letters = []
         for i, ch in enumerate(text):
-            if not ch.isdigit():
+            if not "0" <= ch <= "9":
                 raise ParseError(f"position {i}: {ch!r} is not a digit")
             letters.append(int(ch))
         if k is None:

@@ -77,7 +77,7 @@ def binary_values():
 def oracle_minima():
     """Least witness size q <= 3 of every binary word of length at most 6,
     by brute force over every transition relation (no path-induced search)."""
-    return full_enumeration_minima(2, 6, 3)
+    return full_enumeration_minima(2, 6)
 
 
 def test_criterion_1_reference_word_exact_value(capsys):

@@ -205,6 +205,12 @@ class TestUsageErrors:
             main(["compute", "01", "--nope"])
         assert exc.value.code == 2
 
+    def test_table_takes_one_output_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--csv", "--json"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_alphabet_too_large(self, capsys):
         code, _, err = run(capsys, "compute", "01", "--alphabet", "11")
         assert code == 1 and "alphabet" in err
@@ -355,6 +361,11 @@ class TestDomainErrors:
             # the fresh wildcard letter is letter 10
             ("construct", "--n", "3", "--positions", "0", "--bits", "1", "--alphabet", "10",
              "--keep-wildcards"),
+            # refused before the variable's 12.5 GB mask is built
+            ("gf2", "degree", "--poly", "x99999999999"),
+            # digits outside ASCII are not letters: Arabic-Indic 0110, superscript 2
+            ("compute", "\u0660\u0661\u0661\u0660"),
+            ("squarefree", "\u00b2"),
         ],
     )
     def test_exit_one_with_error_line(self, capsys, argv):
@@ -486,11 +497,12 @@ def _argv(*parts):
     return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
 
 
-# Words up to length 8, one letter not a digit; small integers and one far
-# too large; fractions, some with a zero denominator.  The values that set
-# the cost of a run (table, survey and verify sizes, construct lengths and
-# power exponents) stay small, and --jobs is 1.
-_WORDS = st.text(alphabet="0129x", max_size=8).map(lambda w: [w])
+# Words up to length 8, one letter not a digit and one a digit outside ASCII;
+# small integers and one far too large; fractions, some with a zero
+# denominator.  The values that set the cost of a run (table, survey and
+# verify sizes, construct lengths and power exponents) stay small, and --jobs
+# is 1.
+_WORDS = st.text(alphabet="0129x\u0661", max_size=8).map(lambda w: [w])
 _SMALL = st.integers(-3, 12)
 _INTS = st.one_of(_SMALL, st.just(10**20))
 _TINY = st.integers(-2, 4)
@@ -508,8 +520,6 @@ def _word_cmd(name, *extra):
     return _argv(st.just([name]), _WORDS, _ALPHABET, _JSON, *extra)
 
 
-# verify --suite oracle is left out: it enumerates 2^18 automata whatever
-# --n-max is
 CLI_ARGV = st.one_of(
     _word_cmd("compute", _option("--jobs", st.just(1))),
     _word_cmd("bound"),
@@ -527,7 +537,8 @@ CLI_ARGV = st.one_of(
           _flag("--csv"), _JSON),
     _argv(st.sampled_from([["primorial"], ["theta"]]), _INTS.map(lambda x: [str(x)])),
     _argv(st.sampled_from([["gf2", "or"], ["gf2", "an1"]]), _required("--vars", _INTS), _JSON),
-    _argv(st.just(["gf2", "degree"]), _required("--poly", st.text("xyz01+", max_size=8)),
+    _argv(st.just(["gf2", "degree"]),
+          _required("--poly", st.one_of(st.text("xyz01+", max_size=8), st.just("x99999999999"))),
           _option("--vars", _INTS), _JSON),
     _argv(st.just(["gf2", "anf"]), _required("--table", st.text("012", max_size=8)), _JSON),
     _argv(st.just(["survey"]), _required("--n", _TINY), _option("--samples", _TINY),
@@ -535,6 +546,8 @@ CLI_ARGV = st.one_of(
           _option("--jobs", st.just(1)), _JSON),
     _argv(st.just(["verify"]), _required("--suite", st.sampled_from(["paper", "sandwich"])),
           _option("--n-max", _TINY)),
+    _argv(st.just(["verify", "--suite", "oracle"]),
+          _required("--n-max", st.integers(-2, 3))),
 )
 
 

@@ -31,7 +31,7 @@ W = Word.from_text
 
 REFERENCE = W("12312301234112341", k=5)
 
-# values frozen from full_enumeration_minima(2, 5, 3): every transition
+# values frozen from full_enumeration_minima(2, 5): every transition
 # relation and final set over up to 3 states, no canonical-form reduction
 BRUTE_FORCE_VALUES = {
     "": 1,
@@ -59,6 +59,12 @@ class TestHydeBound:
     def test_negative(self):
         with pytest.raises(ValueError):
             hyde_bound(-1)
+
+
+@pytest.fixture(scope="module")
+def minima():
+    """Brute-force minima of every binary word up to length 4."""
+    return full_enumeration_minima(2, 4)
 
 
 class TestAnExact:
@@ -115,12 +121,19 @@ class TestAnExact:
             an_exact(W("0110"))
         assert not isinstance(caught.value, AcxError)
 
-    def test_path_induced_equals_full_enumeration_small(self):
-        minima = full_enumeration_minima(2, 4, 3)
+    def test_path_induced_equals_full_enumeration_small(self, minima):
         for n in range(5):
             for letters in product((0, 1), repeat=n):
                 w = Word(letters, 2)
                 assert an_exact(w).value == minima[w]
+
+    def test_short_enumerations_stop_at_hyde_bound(self, minima):
+        # below length 4 the enumeration stops short of 3 states, and every
+        # word still gets the minimum a full q <= 3 enumeration gives it
+        for n_max in range(4):
+            short = full_enumeration_minima(2, n_max)
+            assert short == {w: q for w, q in minima.items() if len(w) <= n_max}
+            assert len(short) == 2 ** (n_max + 1) - 1
 
 
 class TestKernelInvariants:

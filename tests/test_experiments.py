@@ -8,7 +8,6 @@ from acx.experiments import (
     first_squarefree_seed,
     hyde_sharpness_witness,
     oracle_cross_check,
-    random_word,
     reference_witness,
     sandwich_check,
     shuffle_family_check,
@@ -91,10 +90,6 @@ class TestRng:
         draws = [rng.below(3) for _ in range(300)]
         assert set(draws) <= {0, 1, 2}
         assert len(set(draws)) == 3
-
-    def test_random_word_shape(self):
-        w = random_word(10, 3, DeterministicRng(7))
-        assert len(w) == 10 and w.k == 3
 
 
 class TestSurvey:

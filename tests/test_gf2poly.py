@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from acx.errors import ArityMismatch, BadLength, ParseError, TooManyVariables
 from acx.gf2poly import (
+    _MAX_VARS,
     MultilinearPoly,
     add,
     anf_from_truth_table,
@@ -19,7 +21,6 @@ from acx.gf2poly import (
     parse_poly,
     truth_table,
     variable,
-    zero,
 )
 
 
@@ -125,7 +126,7 @@ class TestDegree:
             assert degree(constant_indicator_poly(n)) == n - 1
 
     def test_zero_polynomial(self):
-        assert degree(zero(3)) is None
+        assert degree(MultilinearPoly(3, frozenset())) is None
 
 
 class TestOrPoly:
@@ -204,7 +205,7 @@ class TestAnf:
 
 class TestZeroFunction:
     def test_zero_polynomial(self):
-        assert is_zero_function(zero(3))
+        assert is_zero_function(MultilinearPoly(3, frozenset()))
 
     def test_square_plus_self_cancels(self):
         x = variable(0, 1)
@@ -232,7 +233,7 @@ class TestTextFormat:
         assert format_poly(poly(2, 0b11, 0b01, 0b10)) == "xy+x+y"
 
     def test_zero_and_one(self):
-        assert format_poly(zero(2)) == "0"
+        assert format_poly(MultilinearPoly(2, frozenset())) == "0"
         assert format_poly(one(2)) == "1"
 
     def test_numbered_variables(self):
@@ -260,6 +261,30 @@ class TestTextFormat:
             parse_poly("x+q")
         with pytest.raises(ParseError):
             parse_poly("")
+
+    def test_parse_rejects_non_ascii_digits(self):
+        # int() would read the Arabic-Indic digit one as 1
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_poly("x\u0661")
+
+    def test_index_checked_before_its_mask_is_built(self):
+        # the mask of x100000000 alone would take 12.5 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="declared 3 variables"):
+                parse_poly("x100000000", n=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_index_limit(self):
+        assert degree(parse_poly(f"x{_MAX_VARS}")) == 1
+        for n in (None, 10**20):
+            with pytest.raises(ParseError, match="limit"):
+                parse_poly(f"x{_MAX_VARS + 1}", n=n)
+            with pytest.raises(ParseError, match="limit"):
+                parse_poly("x99999999999", n=n)
 
     @given(small_polys)
     def test_format_parse_roundtrip(self, p):

@@ -3,15 +3,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acx.errors import AlphabetMismatch, ParseError
+from acx.errors import AlphabetMismatch
 from acx.nfa import (
     Nfa,
-    SatCount,
     accepts_spelling,
     count_length_n_accepting_paths,
-    from_json,
     to_dot,
-    to_json,
+    to_json_dict,
     uniquely_accepts,
 )
 from acx.words import Word
@@ -77,7 +75,7 @@ class TestAccepts:
 
 class TestCounting:
     def test_reference_is_unique_at_17(self):
-        assert count_length_n_accepting_paths(reference_nfa(), 17) is SatCount.ONE
+        assert count_length_n_accepting_paths(reference_nfa(), 17) == 1
 
     def test_two_self_loops_give_many(self):
         m = Nfa(
@@ -85,7 +83,7 @@ class TestCounting:
             transitions=frozenset({(0, 0, 0), (0, 1, 0)}),
             finals=frozenset({0}),
         )
-        assert count_length_n_accepting_paths(m, 2) is SatCount.MANY
+        assert count_length_n_accepting_paths(m, 2) == 2
 
     def test_deterministic_cycle_counts(self):
         # single outgoing edge everywhere: exactly one walk of every length
@@ -93,16 +91,15 @@ class TestCounting:
             for final in range(v):
                 m = cycle_nfa([0] * v, final)
                 for n in range(9):
-                    expected = SatCount.ONE if n % v == final else SatCount.ZERO
-                    assert count_length_n_accepting_paths(m, n) is expected
-                    assert count_walks_oracle(m, n) == (1 if n % v == final else 0)
+                    expected = 1 if n % v == final else 0
+                    assert count_length_n_accepting_paths(m, n) == expected
+                    assert count_walks_oracle(m, n) == expected
 
     @given(random_nfas(), st.integers(0, 8))
     @settings(max_examples=200)
     def test_against_walk_enumeration(self, m, n):
         got = count_length_n_accepting_paths(m, n)
-        expected = SatCount.from_count(count_walks_oracle(m, n, cap=3))
-        assert got is expected
+        assert got == min(count_walks_oracle(m, n, cap=3), 2)
 
     @given(random_nfas(), st.integers(0, 6), st.data())
     @settings(max_examples=150)
@@ -147,48 +144,30 @@ class TestUniqueAcceptance:
         )
 
 
+def from_json_dict(data: dict) -> Nfa:
+    """The automaton the JSON form describes, read without any checks."""
+    assert data["initial"] == 0
+    return Nfa(
+        q=data["q"],
+        k=data["k"],
+        transitions=frozenset((p, int(a), t) for p, a, t in data["transitions"]),
+        finals=frozenset(data["finals"]),
+    )
+
+
 class TestSerialization:
     def test_roundtrip_reference(self):
         m = reference_nfa()
-        assert from_json(to_json(m)) == m
+        assert from_json_dict(json.loads(json.dumps(to_json_dict(m)))) == m
 
     @given(random_nfas())
     def test_roundtrip_random(self, m):
-        assert from_json(to_json(m)) == m
+        assert from_json_dict(json.loads(json.dumps(to_json_dict(m)))) == m
 
     def test_transitions_sorted(self):
-        m = reference_nfa()
-        data = json.loads(to_json(m))
+        data = to_json_dict(reference_nfa())
         assert data["transitions"] == sorted(data["transitions"])
         assert data["initial"] == 0
-
-    def test_rejects_state_out_of_range(self):
-        text = json.dumps(
-            {"q": 2, "k": 1, "initial": 0, "finals": [0], "transitions": [[0, "0", 2]]}
-        )
-        with pytest.raises(ParseError):
-            from_json(text)
-
-    def test_rejects_duplicate_transition(self):
-        text = json.dumps(
-            {
-                "q": 2, "k": 1, "initial": 0, "finals": [0],
-                "transitions": [[0, "0", 1], [0, "0", 1]],
-            }
-        )
-        with pytest.raises(ParseError):
-            from_json(text)
-
-    def test_rejects_initial_other_than_zero(self):
-        text = json.dumps(
-            {"q": 2, "k": 1, "initial": 1, "finals": [0], "transitions": []}
-        )
-        with pytest.raises(ParseError, match="initial"):
-            from_json(text)
-
-    def test_rejects_bad_json(self):
-        with pytest.raises(ParseError):
-            from_json("{not json")
 
     def test_dot_shapes(self):
         dot = to_dot(reference_nfa())

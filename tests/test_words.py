@@ -55,6 +55,12 @@ class TestWord:
         with pytest.raises(ParseError):
             W("01a")
 
+    @pytest.mark.parametrize("text", ["\u0660\u0661\u0661\u0660", "0\u00b2"])
+    def test_rejects_non_ascii_digits(self, text):
+        # Arabic-Indic digits and a superscript two are digits to str.isdigit
+        with pytest.raises(ParseError, match="is not a digit"):
+            W(text)
+
     def test_empty(self):
         assert len(W("", k=1)) == 0
 
