@@ -21,7 +21,6 @@ from .complexity import (
     power_bound_implication_holds,
     power_upper_bound,
 )
-from .errors import AcxError
 from .gf2poly import (
     MultilinearPoly,
     anf_from_truth_table,

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Words are strings of ASCII digits (one character per letter, alphabet
-size at most 10 on the command line).  Output is plain text by default and
-JSON with --json; identical invocations produce byte-identical output.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+size at most 10 on the command line), and integers are ASCII digits with
+an optional leading '-'.  Output is plain text by default and JSON with
+--json; identical invocations produce byte-identical output.  Exit codes:
+0 success, 1 domain error (a ValueError from the library, printed as an
+``error:`` line), 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,17 +18,27 @@ from fractions import Fraction
 from typing import Optional
 
 from . import complexity, experiments, gf2poly, modular, nfa, words
-from .errors import AcxError
+
+
+def _integer(text: str) -> int:
+    """An argparse type for integers: an optional '-', then ASCII digits.
+
+    int() alone would also read other scripts' digits, '_', '+' and spaces.
+    """
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more than 4300 digits
+            pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
 def _int_at_least(low: int):
     """An argparse type for integers no smaller than ``low``."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        value = _integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
@@ -61,7 +73,7 @@ def _emit_json(data: dict) -> None:
 def _printable(w: words.Word) -> words.Word:
     """w itself, if its alphabet fits one digit per letter."""
     if w.k > 10:
-        raise AcxError("command-line words are limited to alphabet size 10")
+        raise ValueError("command-line words are limited to alphabet size 10")
     return w
 
 
@@ -76,7 +88,7 @@ def _write_dot(path: Optional[str], automaton: nfa.Nfa) -> None:
             with open(path, "w") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise AcxError(f"cannot write {path}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _cmd_compute(args) -> int:
@@ -194,13 +206,12 @@ def _cmd_morphism(args) -> int:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
     if not text:
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise AcxError(f"expected a comma-separated integer list, got {text!r}") from exc
+        return tuple(_integer(part) for part in text.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
 def _cmd_construct(args) -> int:
@@ -257,7 +268,7 @@ def _cmd_primorial(args) -> int:
     fits = x < 41 or x * (1 - 1 / math.log(x)) < _PRIMORIAL_DIGITS * math.log(10)
     value = modular.primorial(x) if fits else None
     if value is None or value >= 10**_PRIMORIAL_DIGITS:
-        raise AcxError(
+        raise ValueError(
             f"primorial prints at most {_PRIMORIAL_DIGITS} digits, and the product of "
             f"the primes up to {x} has more; `acx theta {x}` gives its natural logarithm"
         )
@@ -402,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
              with_json=False)
 
     p = sub.add_parser("construct", help="low-complexity word matching position constraints")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--positions", required=True, help="comma-separated positions")
     p.add_argument("--bits", required=True, help="comma-separated letters")
     p.add_argument("--prime", action="store_true", help="use the smallest prime modulus")
@@ -422,11 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("primorial", help="product of primes up to x")
-    p.add_argument("x", type=int)
+    p.add_argument("x", type=_integer)
     p.set_defaults(func=_cmd_primorial)
 
     p = sub.add_parser("theta", help="Chebyshev theta: sum of ln p for primes p <= x")
-    p.add_argument("x", type=int)
+    p.add_argument("x", type=_integer)
     p.set_defaults(func=_cmd_theta)
 
     gf2 = sub.add_parser("gf2", help="multilinear GF(2) polynomial operations")
@@ -441,17 +452,17 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("or", "the OR of n variables"),
                             ("an1", "the indicator of the two constant words")):
         p = gf2_cmd(name, _cmd_gf2_family, help_text)
-        p.add_argument("--vars", type=int, required=True)
+        p.add_argument("--vars", type=_integer, required=True)
     p = gf2_cmd("degree", _cmd_gf2_degree, "degree of a polynomial such as xy+x+y")
     p.add_argument("--poly", required=True)
-    p.add_argument("--vars", type=int, default=None)
+    p.add_argument("--vars", type=_integer, default=None)
     p = gf2_cmd("anf", _cmd_gf2_anf, "algebraic normal form of a truth table")
     p.add_argument("--table", required=True)
 
     p = sub.add_parser("survey", help="empirical concentration of A_N on random words")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--samples", type=_positive, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--eps", type=_positive_fraction, default="1/3",
                    help="tolerance as p/q, above 0")
     p.add_argument("--alphabet", type=_positive, default=2)
@@ -471,11 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the library checks its preconditions with AcxError or ValueError;
-    # both are domain errors here
+    # every rejected input raises ValueError, a domain error here; any other
+    # exception is a fault and propagates
     try:
         return args.func(args)
-    except (AcxError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

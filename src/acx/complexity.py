@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import EmptyBase, NotAPower
-from .nfa import Nfa, uniquely_accepts
+from .nfa import Nfa, to_json_dict as nfa_json, uniquely_accepts
 from .words import Rational, Word, contains_alpha_power
 
 _OLD_EDGE = ("old",)
@@ -74,8 +73,6 @@ class ComplexityResult:
     certificate: SearchCertificate
 
     def to_json_dict(self) -> dict:
-        from .nfa import to_json_dict as nfa_json
-
         return {
             "value": self.value,
             "witness": nfa_json(self.witness),
@@ -357,16 +354,16 @@ def cyclic_witness(x: Word, alpha: Rational) -> Nfa:
     alpha = Fraction(alpha)
     n = len(x)
     if n == 0:
-        raise NotAPower("the empty word has no period prefix")
+        raise ValueError("the empty word has no period prefix")
     if alpha < 1:
-        raise NotAPower(f"exponent must be at least 1, got {alpha}")
+        raise ValueError(f"exponent must be at least 1, got {alpha}")
     v_exact = Fraction(n) / alpha
     if v_exact.denominator != 1:
-        raise NotAPower(f"|x|/alpha = {v_exact} is not an integer")
+        raise ValueError(f"|x|/alpha = {v_exact} is not an integer")
     v = int(v_exact)
     letters = x.letters
     if any(letters[i] != letters[i % v] for i in range(n)):
-        raise NotAPower(f"{x} is not a {alpha}-power of its {v}-letter prefix")
+        raise ValueError(f"{x} is not a {alpha}-power of its {v}-letter prefix")
     transitions = frozenset((i, letters[i], (i + 1) % v) for i in range(v))
     return Nfa(q=v, k=x.k, transitions=transitions, finals=frozenset({n % v}))
 
@@ -378,8 +375,6 @@ class PowerBound:
     witness: Nfa
 
     def to_json_dict(self) -> dict:
-        from .nfa import to_json_dict as nfa_json
-
         return {
             "bound": self.bound,
             "exponent": str(self.exponent),
@@ -395,7 +390,7 @@ def power_upper_bound(w: Word) -> PowerBound:
     """
     n = len(w)
     if n == 0:
-        raise EmptyBase("the empty word has no period prefix")
+        raise ValueError("the empty word has no period prefix")
     letters = w.letters
     for v in range(1, n + 1):
         if all(letters[i] == letters[i % v] for i in range(v, n)):

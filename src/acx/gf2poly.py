@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import ArityMismatch, BadLength, ParseError, TooManyVariables
-
 # dense constructions double per variable; beyond this they stop being useful
 _DENSE_CAP = 20
 
@@ -57,14 +55,14 @@ def variable(i: int, n: int) -> MultilinearPoly:
 
 def add(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
     if p.n != q.n:
-        raise ArityMismatch(f"cannot add polynomials in {p.n} and {q.n} variables")
+        raise ValueError(f"cannot add polynomials in {p.n} and {q.n} variables")
     return MultilinearPoly(p.n, p.monomials ^ q.monomials)
 
 
 def mul(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
     """Distributed product; x_i^2 = x_i makes a monomial pair OR its masks."""
     if p.n != q.n:
-        raise ArityMismatch(f"cannot multiply polynomials in {p.n} and {q.n} variables")
+        raise ValueError(f"cannot multiply polynomials in {p.n} and {q.n} variables")
     acc: set[int] = set()
     for a in p.monomials:
         for b in q.monomials:
@@ -75,7 +73,7 @@ def mul(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
 def evaluate(p: MultilinearPoly, assignment: Sequence[int]) -> int:
     """GF(2) value at a 0/1 assignment, one bit per variable."""
     if len(assignment) != p.n:
-        raise ArityMismatch(f"expected {p.n} bits, got {len(assignment)}")
+        raise ValueError(f"expected {p.n} bits, got {len(assignment)}")
     mask = 0
     for i, bit in enumerate(assignment):
         if bit not in (0, 1):
@@ -101,7 +99,7 @@ def or_poly(n: int) -> MultilinearPoly:
     if n < 1:
         raise ValueError("disjunction needs at least one variable")
     if n > _DENSE_CAP:
-        raise TooManyVariables(f"or_poly is dense and capped at n={_DENSE_CAP} variables")
+        raise ValueError(f"or_poly is dense and capped at n={_DENSE_CAP} variables")
     return MultilinearPoly(n, frozenset(range(1, 1 << n)))
 
 
@@ -114,7 +112,7 @@ def constant_indicator_poly(n: int) -> MultilinearPoly:
     if n < 1:
         raise ValueError("indicator needs at least one variable")
     if n > _DENSE_CAP:
-        raise TooManyVariables(
+        raise ValueError(
             f"constant_indicator_poly is dense and capped at n={_DENSE_CAP} variables"
         )
     shifted = one(n)
@@ -136,7 +134,7 @@ def anf_from_truth_table(table: Union[str, Sequence[int]]) -> MultilinearPoly:
         bits = []
         for i, ch in enumerate(table):
             if ch not in "01":
-                raise ParseError(f"position {i}: {ch!r} is not a bit")
+                raise ValueError(f"position {i}: {ch!r} is not a bit")
             bits.append(int(ch))
     else:
         bits = [int(b) for b in table]
@@ -144,7 +142,7 @@ def anf_from_truth_table(table: Union[str, Sequence[int]]) -> MultilinearPoly:
             raise ValueError("table entries must be bits")
     size = len(bits)
     if size == 0 or size & (size - 1):
-        raise BadLength(f"table length {size} is not a power of two")
+        raise ValueError(f"table length {size} is not a power of two")
     n = size.bit_length() - 1
     coeffs = _xor_subset_transform(bits)
     return MultilinearPoly(n, frozenset(i for i, c in enumerate(coeffs) if c))
@@ -176,9 +174,7 @@ def is_zero_function(p: MultilinearPoly) -> bool:
     side of the formal-equals-functional-zero check.
     """
     if p.n > _ZERO_CHECK_CAP:
-        raise TooManyVariables(
-            f"would evaluate 2^{p.n} assignments (limit 2^{_ZERO_CHECK_CAP})"
-        )
+        raise ValueError(f"would evaluate 2^{p.n} assignments (limit 2^{_ZERO_CHECK_CAP})")
     for mask in range(1 << p.n):
         assignment = [(mask >> i) & 1 for i in range(p.n)]
         if evaluate(p, assignment):
@@ -229,14 +225,14 @@ def parse_poly(text: str, n: int | None = None) -> MultilinearPoly:
     """
     text = text.strip().replace(" ", "")
     if not text:
-        raise ParseError("empty polynomial text")
+        raise ValueError("empty polynomial text")
     if text == "0":
         return MultilinearPoly(n if n is not None else 0, frozenset())
     masks: set[int] = set()
     max_index = 0
     for term in text.split("+"):
         if not term:
-            raise ParseError("empty monomial between '+' signs")
+            raise ValueError("empty monomial between '+' signs")
         if term == "1":
             masks ^= {0}
             continue
@@ -245,23 +241,32 @@ def parse_poly(text: str, n: int | None = None) -> MultilinearPoly:
         while i < len(term):
             ch = term[i]
             if ch not in "xyz":
-                raise ParseError(f"unexpected character {ch!r} in monomial {term!r}")
+                raise ValueError(f"unexpected character {ch!r} in monomial {term!r}")
             if ch == "x" and i + 1 < len(term) and "0" <= term[i + 1] <= "9":
                 j = i + 1
                 while j < len(term) and "0" <= term[j] <= "9":
                     j += 1
-                index = int(term[i + 1 : j])
+                digits = term[i + 1 : j].lstrip("0")
+                # an index with more digits than _MAX_VARS is above it, and is
+                # refused unread: int() refuses more than 4300 digits
+                if len(digits) > len(str(_MAX_VARS)):
+                    if n is not None and n <= _MAX_VARS:
+                        raise ValueError(f"variable x{digits} outside the declared {n} variables")
+                    raise ValueError(
+                        f"variable x{digits} above the limit of {_MAX_VARS} variables"
+                    )
+                index = int(digits or "0")
                 if index < 1:
-                    raise ParseError(f"variable index must be positive in {term!r}")
+                    raise ValueError(f"variable index must be positive in {term!r}")
                 i = j
             else:
                 index = _LETTER_VARS.index(ch) + 1
                 i += 1
             # checked before the shift, which costs index bits
             if n is not None and index > n:
-                raise ParseError(f"variable x{index} outside the declared {n} variables")
+                raise ValueError(f"variable x{index} outside the declared {n} variables")
             if index > _MAX_VARS:
-                raise ParseError(f"variable x{index} above the limit of {_MAX_VARS} variables")
+                raise ValueError(f"variable x{index} above the limit of {_MAX_VARS} variables")
             mask |= 1 << (index - 1)
             max_index = max(max_index, index)
         masks ^= {mask}

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .complexity import an_exact
@@ -285,8 +286,6 @@ def table_best_bound(c_max: int, n_max: int) -> list[list[Optional[int]]]:
     Entries with c > n are undefined (None).  Row c = 0 is the unconstrained
     minimum, which the constant word always makes 1.
     """
-    from itertools import combinations
-
     table: list[list[Optional[int]]] = [
         [None] * (n_max + 1) for _ in range(c_max + 1)
     ]

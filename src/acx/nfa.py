@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlphabetMismatch
 from .words import Word
 
 
@@ -45,7 +44,7 @@ def accepts_spelling(m: Nfa, w: Word) -> bool:
     """True iff some path from state 0 spelling w ends in a final state."""
     for a in w.letters:
         if a >= m.k:
-            raise AlphabetMismatch(f"letter {a} outside the automaton alphabet [{m.k}]")
+            raise ValueError(f"letter {a} outside the automaton alphabet [{m.k}]")
     delta: dict[tuple[int, int], list[int]] = {}
     for p, a, t in m.transitions:
         delta.setdefault((p, a), []).append(t)

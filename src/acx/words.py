@@ -13,17 +13,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import (
-    AlphabetMismatch,
-    BadLength,
-    BadPrefix,
-    EmptyBase,
-    LengthMismatch,
-    LetterOutOfRange,
-    NonIntegralLength,
-    ParseError,
-)
-
 Rational = Union[int, str, Fraction]
 
 
@@ -37,10 +26,10 @@ class Word:
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
         if self.k < 1:
-            raise LetterOutOfRange(f"alphabet size must be positive, got {self.k}")
+            raise ValueError(f"alphabet size must be positive, got {self.k}")
         for a in self.letters:
             if not 0 <= a < self.k:
-                raise LetterOutOfRange(f"letter {a} outside alphabet [0, {self.k})")
+                raise ValueError(f"letter {a} outside alphabet [0, {self.k})")
 
     @classmethod
     def from_text(cls, text: str, k: Optional[int] = None) -> "Word":
@@ -48,7 +37,7 @@ class Word:
         letters = []
         for i, ch in enumerate(text):
             if not "0" <= ch <= "9":
-                raise ParseError(f"position {i}: {ch!r} is not a digit")
+                raise ValueError(f"position {i}: {ch!r} is not a digit")
             letters.append(int(ch))
         if k is None:
             k = max(letters, default=0) + 1
@@ -79,7 +68,7 @@ class Occurrence:
 
     def __post_init__(self):
         if self.period < 1 or self.length < self.period or self.start < 0:
-            raise BadLength(
+            raise ValueError(
                 f"occurrence needs start >= 0 and length >= period >= 1, "
                 f"got ({self.start}, {self.period}, {self.length})"
             )
@@ -99,13 +88,11 @@ class PowerSpec:
     def __post_init__(self):
         object.__setattr__(self, "exponent", Fraction(self.exponent))
         if len(self.base) == 0:
-            raise EmptyBase("power of the empty word is undefined")
+            raise ValueError("power of the empty word is undefined")
         if self.exponent < 1:
             raise ValueError(f"exponent must be at least 1, got {self.exponent}")
         if (self.exponent * len(self.base)).denominator != 1:
-            raise NonIntegralLength(
-                f"{self.exponent} * {len(self.base)} is not an integer"
-            )
+            raise ValueError(f"{self.exponent} * {len(self.base)} is not an integer")
 
     @property
     def length(self) -> int:
@@ -190,7 +177,7 @@ def is_overlap_free(w: Word) -> bool:
 def shuffle(x: Word, y: Word) -> Word:
     """Perfect shuffle x1 y1 x2 y2 ... of two equal-length words."""
     if len(x) != len(y):
-        raise LengthMismatch(f"cannot shuffle lengths {len(x)} and {len(y)}")
+        raise ValueError(f"cannot shuffle lengths {len(x)} and {len(y)}")
     letters = []
     for a, b in zip(x.letters, y.letters):
         letters.append(a)
@@ -211,7 +198,7 @@ class Morphism:
         target = self.images[0].k
         for im in self.images:
             if im.k != target:
-                raise AlphabetMismatch("letter images use different target alphabets")
+                raise ValueError("letter images use different target alphabets")
 
     @property
     def source_size(self) -> int:
@@ -227,9 +214,7 @@ def apply_morphism(m: Morphism, w: Word) -> Word:
     letters: list[int] = []
     for a in w.letters:
         if a >= m.source_size:
-            raise LetterOutOfRange(
-                f"letter {a} has no image under a {m.source_size}-letter morphism"
-            )
+            raise ValueError(f"letter {a} has no image under a {m.source_size}-letter morphism")
         letters.extend(m.images[a].letters)
     return Word(tuple(letters), m.target_size)
 
@@ -295,16 +280,16 @@ def shuffle_family(r: Word, n: int) -> Iterator[Word]:
     members are exactly the shuffles of rr with doubled tails ss.
     """
     if n % 8 != 0 or n <= 0:
-        raise BadLength(f"family length must be a positive multiple of 8, got {n}")
+        raise ValueError(f"family length must be a positive multiple of 8, got {n}")
     if len(r) != n // 4:
-        raise BadLength(f"seed must have length n/4 = {n // 4}, got {len(r)}")
+        raise ValueError(f"seed must have length n/4 = {n // 4}, got {len(r)}")
     if r.letters[0] != 3:
-        raise BadPrefix("seed must start with the letter 3")
+        raise ValueError("seed must start with the letter 3")
     tail = r.letters[1:]
     if any(a > 2 for a in tail):
-        raise BadPrefix("seed tail must be ternary")
+        raise ValueError("seed tail must be ternary")
     if contains_square(Word(tail, 3)) is not None:
-        raise BadPrefix("seed tail must be squarefree")
+        raise ValueError("seed tail must be squarefree")
 
     doubled = r.letters * 2
     for s in product((4, 5), repeat=n // 2):

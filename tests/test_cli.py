@@ -250,6 +250,16 @@ class TestUsageErrors:
         [
             ("compute", "01", "--jobs", "x"),
             ("survey", "--n", "4,x"),
+            # integers are an optional '-' and ASCII digits, which int() alone
+            # would widen to other scripts' digits, '_', '+' and spaces
+            ("primorial", "\u0661\u0660"),
+            ("classify", "0110", "--c", "\u0663"),
+            ("theta", "1_0"),
+            ("construct", "--n", "+4", "--positions", "1", "--bits", "1"),
+            ("gf2", "or", "--vars", " 2"),
+            ("gf2", "degree", "--poly", "x", "--vars", "2 "),
+            ("survey", "--n", "4", "--seed", "\u0661"),
+            ("table", "--max-n", "9" * 5000),
         ],
     )
     def test_non_integer_option(self, capsys, argv):
@@ -366,6 +376,9 @@ class TestDomainErrors:
             # digits outside ASCII are not letters: Arabic-Indic 0110, superscript 2
             ("compute", "\u0660\u0661\u0661\u0660"),
             ("squarefree", "\u00b2"),
+            # list elements are integers of the same grammar as options
+            ("construct", "--n", "4", "--positions", "\u0661", "--bits", "\u0661"),
+            ("construct", "--n", "12", "--positions", " 1_0", "--bits", "1"),
         ],
     )
     def test_exit_one_with_error_line(self, capsys, argv):
@@ -498,12 +511,12 @@ def _argv(*parts):
 
 
 # Words up to length 8, one letter not a digit and one a digit outside ASCII;
-# small integers and one far too large; fractions, some with a zero
-# denominator.  The values that set the cost of a run (table, survey and
+# small integers, one far too large and three that int() reads but the
+# integer grammar does not; fractions, some with a zero denominator.  The values that set the cost of a run (table, survey and
 # verify sizes, construct lengths and power exponents) stay small, and --jobs
 # is 1.
 _WORDS = st.text(alphabet="0129x\u0661", max_size=8).map(lambda w: [w])
-_SMALL = st.integers(-3, 12)
+_SMALL = st.one_of(st.integers(-3, 12), st.sampled_from(["\u0663", "1_0", " 3"]))
 _INTS = st.one_of(_SMALL, st.just(10**20))
 _TINY = st.integers(-2, 4)
 _FRACTIONS = st.tuples(st.integers(-3, 6), st.sampled_from([0, 1, 2, 3, 10**20])).map(

@@ -21,7 +21,6 @@ from acx.complexity import (
     power_bound_implication_holds,
     power_upper_bound,
 )
-from acx.errors import AcxError, EmptyBase, NotAPower
 from acx.experiments import worker_count
 from acx.nfa import Nfa, uniquely_accepts
 from acx.words import Word
@@ -119,7 +118,7 @@ class TestAnExact:
         monkeypatch.setattr(acx.complexity, "_search_level", lambda letters, q: (None, 0))
         with pytest.raises(RuntimeError, match="Hyde") as caught:
             an_exact(W("0110"))
-        assert not isinstance(caught.value, AcxError)
+        assert not isinstance(caught.value, ValueError)
 
     def test_path_induced_equals_full_enumeration_small(self, minima):
         for n in range(5):
@@ -489,9 +488,9 @@ class TestCyclicWitness:
         assert count_walks_oracle(m, 6) == 1
 
     def test_not_a_power(self):
-        with pytest.raises(NotAPower):
+        with pytest.raises(ValueError, match="0110 is not a 2-power of its 2-letter prefix"):
             cyclic_witness(W("0110"), Fraction(2))
-        with pytest.raises(NotAPower):
+        with pytest.raises(ValueError, match="3/2 is not an integer"):
             cyclic_witness(W("011"), Fraction(2))
 
     @given(
@@ -543,7 +542,7 @@ class TestPowerUpperBound:
                 assert any(w.letters[i] != w.letters[i % v] for i in range(v, n))
 
     def test_empty(self):
-        with pytest.raises(EmptyBase):
+        with pytest.raises(ValueError, match="the empty word has no period prefix"):
             power_upper_bound(W("", k=1))
 
     def test_bound_dominates_exact_value(self):

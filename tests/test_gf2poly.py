@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acx.errors import ArityMismatch, BadLength, ParseError, TooManyVariables
 from acx.gf2poly import (
     _MAX_VARS,
     MultilinearPoly,
@@ -50,9 +49,9 @@ class TestAlgebra:
         assert format_poly(mul(p, q)) == "xy+x+y+1"
 
     def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(ValueError, match="cannot add polynomials in 1 and 2 variables"):
             add(one(1), one(2))
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(ValueError, match="cannot multiply polynomials in 1 and 2 variables"):
             mul(one(1), one(2))
 
     @given(small_polys, small_polys)
@@ -146,7 +145,7 @@ class TestOrPoly:
             assert add(one(n), expanded) == or_poly(n)
 
     def test_cap(self):
-        with pytest.raises(TooManyVariables):
+        with pytest.raises(ValueError, match="capped at n=20 variables"):
             or_poly(21)
 
 
@@ -174,7 +173,7 @@ class TestAnf:
         assert format_poly(anf_from_truth_table("10")) == "x+1"
 
     def test_bad_length(self):
-        with pytest.raises(BadLength):
+        with pytest.raises(ValueError, match="table length 3 is not a power of two"):
             anf_from_truth_table("011")
 
     def test_roundtrip_all_functions_up_to_three(self):
@@ -224,7 +223,7 @@ class TestZeroFunction:
                 assert is_zero_function(p) == (not monomials)
 
     def test_limit(self):
-        with pytest.raises(TooManyVariables):
+        with pytest.raises(ValueError, match=r"would evaluate 2\^13 assignments"):
             is_zero_function(or_poly(13))
 
 
@@ -257,21 +256,21 @@ class TestTextFormat:
         assert p.monomials == frozenset({0b1000000001})
 
     def test_parse_rejects_junk(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match="unexpected character 'q'"):
             parse_poly("x+q")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match="empty polynomial text"):
             parse_poly("")
 
     def test_parse_rejects_non_ascii_digits(self):
         # int() would read the Arabic-Indic digit one as 1
-        with pytest.raises(ParseError, match="unexpected character"):
+        with pytest.raises(ValueError, match="unexpected character"):
             parse_poly("x\u0661")
 
     def test_index_checked_before_its_mask_is_built(self):
         # the mask of x100000000 alone would take 12.5 MB
         tracemalloc.start()
         try:
-            with pytest.raises(ParseError, match="declared 3 variables"):
+            with pytest.raises(ValueError, match="declared 3 variables"):
                 parse_poly("x100000000", n=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -281,10 +280,17 @@ class TestTextFormat:
     def test_index_limit(self):
         assert degree(parse_poly(f"x{_MAX_VARS}")) == 1
         for n in (None, 10**20):
-            with pytest.raises(ParseError, match="limit"):
+            with pytest.raises(ValueError, match="limit"):
                 parse_poly(f"x{_MAX_VARS + 1}", n=n)
-            with pytest.raises(ParseError, match="limit"):
+            with pytest.raises(ValueError, match="limit"):
                 parse_poly("x99999999999", n=n)
+            # past the 4300 digits int() reads, the index is refused by its length
+            with pytest.raises(ValueError, match=f"above the limit of {_MAX_VARS} variables"):
+                parse_poly("x" + "9" * 5000, n=n)
+        with pytest.raises(ValueError, match="declared 3 variables"):
+            parse_poly("x" + "9" * 5000, n=3)
+        # leading zeros do not count
+        assert parse_poly("x" + "0" * 5000 + "7").monomials == frozenset({1 << 6})
 
     @given(small_polys)
     def test_format_parse_roundtrip(self, p):

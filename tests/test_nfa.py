@@ -3,7 +3,6 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acx.errors import AlphabetMismatch
 from acx.nfa import (
     Nfa,
     accepts_spelling,
@@ -69,7 +68,7 @@ class TestAccepts:
 
     def test_alphabet_mismatch(self):
         m = Nfa(q=1, k=1, transitions=frozenset(), finals=frozenset({0}))
-        with pytest.raises(AlphabetMismatch):
+        with pytest.raises(ValueError, match=r"letter 1 outside the automaton alphabet \[1\]"):
             accepts_spelling(m, W("1"))
 
 

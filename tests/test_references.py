@@ -4,6 +4,9 @@ A caller is a code reference (a name or an attribute, not docstring text)
 outside the definition itself, in the package, in the acceptance suite or
 in the benchmark.  Unit tests do not count: code that only they reach is
 surface nothing else uses.
+
+The package also defines no exception classes: a rejected input raises
+ValueError, so callers and the CLI catch one type.
 """
 
 import ast
@@ -59,3 +62,26 @@ def test_every_definition_has_a_caller():
     uncalled = uncalled_definitions()
     assert uncalled - PAPER_STATEMENTS == set(), "nothing calls these"
     assert PAPER_STATEMENTS - uncalled == set(), "these have callers; drop the exception"
+
+
+# RuntimeError and AssertionError mark faults, ArgumentTypeError the CLI's
+# usage errors
+RAISED = {"ValueError", "RuntimeError", "AssertionError", "argparse.ArgumentTypeError"}
+
+
+def test_no_exception_classes():
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases = {ast.unparse(base).rpartition(".")[2] for base in node.bases}
+                exceptions = {b for b in bases if b == "Exception" or b.endswith("Error")}
+                assert not exceptions, f"{path.name}: {node.name} derives from {exceptions}"
+
+
+def test_every_raise_names_a_builtin_error():
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = ast.unparse(exc) if exc is not None else "a bare raise"
+                assert name in RAISED, f"{path.name}:{node.lineno} raises {name}"
