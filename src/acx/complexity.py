@@ -255,11 +255,22 @@ def _renamed_in_order(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(names.setdefault(a, len(names)) for a in letters)
 
 
+def _hyde_path(n: int) -> tuple[int, ...]:
+    """Hyde's path of n steps, 0, 1, ..., m, m, m - 1, ... with m = n // 2."""
+    m = n // 2
+    return tuple(range(m + 1)) + tuple(range(m, 2 * m - n, -1))
+
+
 def _decide(searches: dict, letters: tuple[int, ...]) -> tuple[int, tuple[int, ...], int, str]:
     """A word's value, path, nodes and mode, bracketed as an_exact says.
 
     ``letters`` are renamed in order of first occurrence and not yet a key
     of ``searches``, so the empty word finds no mirror and no factors.
+    Each upper bound's path has one walk of the word's length to its end:
+    a new initial state before the suffix's path has one out-edge and no
+    in-edge; Hyde's path ends at 0 for odd n and at 1 for even n, so a
+    walk there takes the loop at m an odd number of times, and three
+    passes need at least n + 2 steps.
     """
     mirror = searches.get(_renamed_in_order(letters[::-1]))
     if mirror is not None:
@@ -270,7 +281,17 @@ def _decide(searches: dict, letters: tuple[int, ...]) -> tuple[int, tuple[int, .
     suffix = searches.get(_renamed_in_order(letters[1:]))
     bracketed = prefix is not None and suffix is not None
     if bracketed:
-        lo, top = max(prefix[0], suffix[0]), prefix[0]
+        lo = top = max(prefix[0], suffix[0])
+        hi, path = min(
+            (prefix[0] + 1, prefix[1] + (prefix[0],)),
+            (suffix[0] + 1, (0,) + tuple(s + 1 for s in suffix[1])),
+            (hyde_bound(len(letters)), _hyde_path(len(letters))),
+            key=lambda bound: bound[0],
+        )
+        # a one-letter word, with lo = hi = 1, still searches level 1, so
+        # its certificate stays path-induced
+        if lo == hi >= 2:
+            return hi, path, 0, "factor-bracket"
     else:
         lo, top = 1, hyde_bound(len(letters))
     # from level 1, every level up to a witness found is searched
@@ -283,7 +304,7 @@ def _decide(searches: dict, letters: tuple[int, ...]) -> tuple[int, tuple[int, .
         exhausted_nodes += level_nodes
     if not bracketed:
         raise RuntimeError(f"no witness with at most {top} states, against Hyde's bound")
-    return top + 1, prefix[1] + (top,), exhausted_nodes, "factor-bracket"
+    return hi, path, exhausted_nodes, "factor-bracket"
 
 
 def an_exact(
@@ -305,16 +326,19 @@ def an_exact(
     compares letters only for equality, so a renaming takes the same path
     with the same node counts.  A word whose key is there takes that
     outcome.  Any other word is bracketed by what the dict holds, using
-    A_N(u) <= A_N(uv), A_N(ua) <= A_N(u) + 1 and A_N(reverse w) = A_N(w):
+    A_N(u) <= A_N(uv), A_N(ua) <= A_N(u) + 1, A_N(aw) <= A_N(w) + 1,
+    A_N(reverse w) = A_N(w) and Hyde's bound:
 
     - if the word's reversal, renamed, is there, its path is read
       backwards, with the states renamed in order of first occurrence;
-    - if both w[:-1] and w[1:] are there, the levels from
-      lo = max(A_N(w[:-1]), A_N(w[1:])) to A_N(w[:-1]) are searched, which
-      is level lo at most; if none has a witness, the value is
-      A_N(w[:-1]) + 1, with the prefix's path plus one new final state.
-      As A_N(w[:-1]) is at most Hyde's bound for n - 1, no level above
-      Hyde's bound for n is searched;
+    - if both w[:-1] and w[1:] are there, lo = max(A_N(w[:-1]), A_N(w[1:]))
+      and hi is the least of three upper bounds, each attained by a path:
+      A_N(w[:-1]) + 1, by the prefix's path plus one new final state;
+      A_N(w[1:]) + 1, by a new initial state before the suffix's path;
+      and hyde_bound(n), by Hyde's path 0, 1, ..., m, m, m - 1, ... with
+      m = n // 2.  If lo = hi >= 2, the value is hi and no level is
+      searched.  Otherwise level lo alone is searched; if it has no
+      witness, the value is hi, with that bound's path;
     - otherwise every level from 1 is searched.
 
     The witness is always built from the word's own letters and re-checked,

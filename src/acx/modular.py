@@ -292,17 +292,13 @@ def table_best_bound(c_max: int, n_max: int) -> list[list[Optional[int]]]:
     searches: dict = {}
     for n in range(n_max + 1):
         values = exact_values_binary(n, searches)
+        falling = sorted(range(len(values)), key=values.__getitem__, reverse=True)
         for c in range(min(c_max, n) + 1):
             worst = 0
             for positions in combinations(range(n), c):
-                posmask = 0
-                for p in positions:
-                    posmask |= 1 << p
-                group_min: dict[int, int] = {}
-                for index, value in enumerate(values):
-                    key = index & posmask
-                    if key not in group_min or value < group_min[key]:
-                        group_min[key] = value
+                posmask = sum(1 << p for p in positions)
+                # the last value stored under a key is its group's least
+                group_min = {index & posmask: values[index] for index in falling}
                 worst = max(worst, max(group_min.values()))
             table[c][n] = worst
     return table

@@ -260,6 +260,20 @@ def unshared():
     return {w: an_exact(w) for k, n_max, _ in SWEEPS for w in sweep(k, n_max)}
 
 
+@pytest.fixture
+def level_searches(monkeypatch):
+    """The arguments of every _search_level call made while the test runs."""
+    calls = []
+    search_level = acx.complexity._search_level
+
+    def counting(*args):
+        calls.append(args)
+        return search_level(*args)
+
+    monkeypatch.setattr(acx.complexity, "_search_level", counting)
+    return calls
+
+
 def reversed_witness(nfa: Nfa) -> Nfa:
     """Every edge reversed, the initial and the single final state swapped,
     and the states renamed so that the new initial state is 0."""
@@ -309,24 +323,12 @@ class TestSharedSearch:
                 assert result.certificate.search_mode == "factor-bracket", w
         assert len(shared) == searches
 
-    @pytest.fixture
-    def level_searches(self, monkeypatch):
-        calls = []
-        search_level = acx.complexity._search_level
-
-        def counting(*args):
-            calls.append(args)
-            return search_level(*args)
-
-        monkeypatch.setattr(acx.complexity, "_search_level", counting)
-        return calls
-
     def test_sharing_lasts_one_sweep(self, level_searches):
         # all 1093 ternary words up to length 6, bracketed by their factors
         assert acx.experiments.sandwich_check(6).ok
-        assert len(level_searches) == 101
+        assert len(level_searches) == 82
         assert acx.experiments.sandwich_check(6).ok
-        assert len(level_searches) == 2 * 101
+        assert len(level_searches) == 2 * 82
         del level_searches[:]
         acx.modular.exact_values_binary(8, {})
         # a fresh dict holds no factors of length 7
@@ -335,12 +337,12 @@ class TestSharedSearch:
         # one dict across all lengths: every word of length n >= 1 finds
         # both its factors
         acx.modular.table_best_bound(6, 8)
-        assert len(level_searches) == 138
+        assert len(level_searches) == 95
 
 
 class TestFactorBracket:
-    """The three facts the bracket rests on, and the calls that take each
-    of its branches."""
+    """The facts the bracket rests on, and the calls that take each of its
+    branches."""
 
     @pytest.mark.parametrize("k, n_max", [(k, n_max) for k, n_max, _ in SWEEPS])
     def test_three_facts(self, unshared, k, n_max):
@@ -351,11 +353,12 @@ class TestFactorBracket:
                 prefix = unshared[Word(w.letters[:-1], k)].value
                 suffix = unshared[Word(w.letters[1:], k)].value
                 assert max(prefix, suffix) <= value <= prefix + 1, w
+                assert value <= suffix + 1, w
 
     @pytest.mark.parametrize("k, n_max", [(k, n_max) for k, n_max, _ in SWEEPS])
     def test_ceiling_case(self, unshared, k, n_max):
-        """Words whose prefix value plus one is above hyde_bound(n) find
-        their witness at level lo, which then equals hyde_bound(n)."""
+        """Words whose prefix value plus one is above hyde_bound(n) have
+        the value hyde_bound(n), which both ends of the bracket equal."""
         shared: dict = {}
         ceiling_words = 0
         for w in sweep(k, n_max):
@@ -367,17 +370,55 @@ class TestFactorBracket:
                 assert result.witness.q == result.value, w
         assert ceiling_words > 0
 
-    def test_ceiling_case_010(self):
+    def test_ceiling_case_010(self, level_searches):
         shared: dict = {}
         for w in sweep(2, 2):
             an_exact(w, searches=shared)
-        # A_N(01) + 1 = 3 > hyde_bound(3) = 2, and A_N(01) = A_N(10) = 2:
-        # only level 2 is searched, and it holds the witness
+        del level_searches[:]
+        # A_N(01) + 1 = A_N(10) + 1 = 3 > hyde_bound(3) = 2, and
+        # A_N(01) = A_N(10) = 2: no level is searched, and the witness is
+        # Hyde's path 0, 1, 1, 0
         result = an_exact(W("010"), searches=shared)
+        assert level_searches == []
         assert result.value == 2
-        assert result.witness.q == 2
+        assert result.witness == Nfa(
+            q=2, k=2, transitions={(0, 0, 1), (1, 1, 1), (1, 0, 0)}, finals={0}
+        )
         assert result.certificate.search_nodes == 0
         assert result.certificate.search_mode == "factor-bracket"
+
+    def test_suffix_bound_decides_without_a_search(self, level_searches):
+        shared: dict = {}
+        for w in sweep(2, 5):
+            an_exact(w, searches=shared)
+        del level_searches[:]
+        # A_N(00101) = 3 = A_N(01010) + 1 and hyde_bound(6) = 4: the suffix
+        # bound meets lo, and a new initial state goes before its path
+        result = an_exact(W("001010"), searches=shared)
+        assert level_searches == []
+        assert result.value == 3
+        assert result.certificate == SearchCertificate(
+            states_ruled_out=2, search_nodes=0, search_mode="factor-bracket"
+        )
+        suffix = an_exact(W("01010"), searches=shared).witness
+        assert suffix.q == 2
+        assert result.witness == Nfa(
+            q=3,
+            k=2,
+            transitions={(p + 1, a, t + 1) for p, a, t in suffix.transitions} | {(0, 0, 1)},
+            finals={f + 1 for f in suffix.finals},
+        )
+
+    def test_hyde_path_is_uniquely_accepted(self):
+        for k, n_max in ((2, 12), (3, 8)):
+            for w in sweep(k, n_max):
+                n = len(w)
+                path = acx.complexity._hyde_path(n)
+                assert len(path) == n + 1
+                # it ends at 0 for odd n and at 1 for even n >= 2
+                assert path[-1] == (n + 1) % 2 or n == 0
+                witness = acx.complexity._witness_from_path(w, path, hyde_bound(n))
+                assert uniquely_accepts(witness, w), w
 
     def test_exhausted_level_gives_prefix_path_plus_one(self):
         shared: dict = {}
