@@ -5,7 +5,7 @@ size at most 10 on the command line), and integers are ASCII digits with
 an optional leading '-'.  Output is plain text by default and JSON with
 --json; identical invocations produce byte-identical output.  Exit codes:
 0 success, 1 domain error (a ValueError from the library, printed as an
-``error:`` line), 2 usage error.
+``error:`` line) or a reader that closed stdout early, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -485,9 +486,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     # every rejected input raises ValueError, a domain error here; any other
     # exception is a fault and propagates
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that has gone shows here at the latest, not at exit
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # what stdout still holds goes nowhere, so the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

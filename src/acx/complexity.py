@@ -43,15 +43,16 @@ class SearchCertificate:
 
     search_mode ``"path-induced"`` means that every level from 1 up to the
     value was searched, and the witness is the least path of the value
-    level.  ``"factor-bracket"`` means that a sweep's bracket (see
-    an_exact) ruled out some level, or fixed the value, without a search
-    of this word; the witness is then still valid but need not be the
-    least one.
+    level.  ``"factor-bracket"`` means that in a sweep (see an_exact) a
+    proved bound ruled out some level, or fixed the value, without a
+    search of that level; the witness is then still valid but need not be
+    the least one.
 
     search_nodes counts the extensions examined on the ruled out levels
     that were searched; levels the bracket ruled out add nothing, and a
     result read from the word's mirror carries the mirror's count.  The
-    level that produced the witness is not included.
+    level that produced the witness is not included, so a sweep word whose
+    value level was not searched has the count of a call without a dict.
     """
 
     states_ruled_out: int
@@ -104,12 +105,14 @@ class _LevelSearch:
     make, so the prune stays exact.
 
     The search runs in the calling process: one level is one depth-first
-    walk, which stops at its first full path.
+    walk, which stops at its first full path.  It keeps the first path of
+    n - 1 steps that it enters as ``prefix``: that path's automaton
+    uniquely accepts the word without its last letter.
     """
 
     __slots__ = (
         "letters", "n", "q", "labels", "out_any", "out_multi", "in_any",
-        "rows", "path", "nodes",
+        "rows", "path", "nodes", "prefix",
     )
 
     def __init__(self, letters: Sequence[int], q: int):
@@ -123,6 +126,7 @@ class _LevelSearch:
         self.rows: list[tuple[int, int]] = [(1, 0)]
         self.path: list[int] = [0]
         self.nodes = 0
+        self.prefix: Optional[tuple[int, ...]] = None
 
     def _step(self, row: tuple[int, int]) -> tuple[int, int]:
         m1, m2 = row
@@ -215,9 +219,12 @@ class _LevelSearch:
         walk.  The extension into the endpoint already ruled out a second
         walk there.
         """
-        if depth == self.n:
-            return tuple(self.path) if max_state == self.q - 1 else None
         remaining = self.n - depth - 1
+        if remaining <= 0:
+            if remaining:
+                return tuple(self.path) if max_state == self.q - 1 else None
+            if self.prefix is None:
+                self.prefix = tuple(self.path)
         limit = max_state + 1
         if limit > self.q - 1:
             limit = self.q - 1
@@ -237,9 +244,14 @@ class _LevelSearch:
 
 
 def _search_level(letters: Sequence[int], q: int) -> tuple[Optional[tuple[int, ...]], int]:
-    """The least surviving full path with q states, and the nodes examined."""
+    """The least surviving full path with q states, and the nodes examined.
+
+    A level without a full path returns in its place the first surviving
+    path of n - 1 steps, one entry shorter, or None if it entered none.
+    """
     search = _LevelSearch(letters, q)
-    return search._walk(0, 0), search.nodes
+    path = search._walk(0, 0)
+    return (search.prefix if path is None else path), search.nodes
 
 
 def _witness_from_path(word: Word, seq: tuple[int, ...], q: int) -> Nfa:
@@ -261,14 +273,17 @@ def _hyde_path(n: int) -> tuple[int, ...]:
     return tuple(range(m + 1)) + tuple(range(m, 2 * m - n, -1))
 
 
-def _decide(searches: dict, letters: tuple[int, ...]) -> tuple[int, tuple[int, ...], int, str]:
+def _decide(
+    searches: dict, letters: tuple[int, ...], least: bool
+) -> tuple[int, tuple[int, ...], int, str]:
     """A word's value, path, nodes and mode, bracketed as an_exact says.
 
     ``letters`` are renamed in order of first occurrence and not yet a key
     of ``searches``, so the empty word finds no mirror and no factors.
-    Each upper bound's path has one walk of the word's length to its end:
-    a new initial state before the suffix's path has one out-edge and no
-    in-edge; Hyde's path ends at 0 for odd n and at 1 for even n, so a
+    With ``least``, every level up to the value is searched.  Each upper
+    bound's path has one walk of the word's length to its end: a new
+    initial or final state has one edge, so it adds no walk to the path
+    it extends; Hyde's path ends at 0 for odd n and at 1 for even n, so a
     walk there takes the loop at m an odd number of times, and three
     passes need at least n + 2 steps.
     """
@@ -277,15 +292,15 @@ def _decide(searches: dict, letters: tuple[int, ...]) -> tuple[int, tuple[int, .
         # reversed, the mirror's path is a witness but need not be the least
         q, seq, nodes, _ = mirror
         return q, _renamed_in_order(seq[::-1]), nodes, "factor-bracket"
+    n = len(letters)
     prefix = searches.get(letters[:-1])
     suffix = searches.get(_renamed_in_order(letters[1:]))
-    bracketed = prefix is not None and suffix is not None
-    if bracketed:
+    if prefix is not None and suffix is not None:
         lo = top = max(prefix[0], suffix[0])
         hi, path = min(
             (prefix[0] + 1, prefix[1] + (prefix[0],)),
             (suffix[0] + 1, (0,) + tuple(s + 1 for s in suffix[1])),
-            (hyde_bound(len(letters)), _hyde_path(len(letters))),
+            (hyde_bound(n), _hyde_path(n)),
             key=lambda bound: bound[0],
         )
         # a one-letter word, with lo = hi = 1, still searches level 1, so
@@ -293,18 +308,25 @@ def _decide(searches: dict, letters: tuple[int, ...]) -> tuple[int, tuple[int, .
         if lo == hi >= 2:
             return hi, path, 0, "factor-bracket"
     else:
-        lo, top = 1, hyde_bound(len(letters))
+        lo, top = 1, hyde_bound(n)
+        hi, path = top, _hyde_path(n)
     # from level 1, every level up to a witness found is searched
     mode = "path-induced" if lo == 1 else "factor-bracket"
     exhausted_nodes = 0
     for q in range(lo, top + 1):
         seq, level_nodes = _search_level(letters, q)
-        if seq is not None:
+        if seq is not None and len(seq) > n:
             return q, seq, exhausted_nodes, mode
         exhausted_nodes += level_nodes
-    if not bracketed:
-        raise RuntimeError(f"no witness with at most {top} states, against Hyde's bound")
-    return hi, path, exhausted_nodes, "factor-bracket"
+        if least:
+            continue
+        # A_N(w) > q now, and a path of n - 1 steps that survived level q
+        # gives A_N(w[:-1]) <= q, so A_N(w) <= q + 1
+        if seq is not None and q + 1 < hi:
+            hi, path = q + 1, seq + (q,)
+        if hi == q + 1:
+            return hi, path, exhausted_nodes, "factor-bracket"
+    raise RuntimeError(f"no witness with at most {top} states, against Hyde's bound")
 
 
 def an_exact(
@@ -320,13 +342,14 @@ def an_exact(
     level with a witness is the answer.  ``jobs`` raises ValueError below 1
     and changes nothing else: parallelism is across words, in survey.
 
-    ``searches`` is a dict that the calls of one sweep share, and a fresh
-    one when not given.  It maps a word's letters, renamed in order of
-    first occurrence, to its value, path, nodes and search mode: the search
-    compares letters only for equality, so a renaming takes the same path
-    with the same node counts.  A word whose key is there takes that
-    outcome.  Any other word is bracketed by what the dict holds, using
-    A_N(u) <= A_N(uv), A_N(ua) <= A_N(u) + 1, A_N(aw) <= A_N(w) + 1,
+    Without ``searches``, every level up to the value is searched, and
+    the witness has the lexicographically least canonical state sequence.
+    ``searches`` is a dict that the calls of one sweep share.  It maps a
+    word's letters, renamed in order of first occurrence, to its value,
+    path, nodes and search mode: the search compares letters only for
+    equality, so a renaming takes the same path with the same node counts.
+    A word whose key is there takes that outcome.  Any other word is
+    bracketed by what the dict holds, using A_N(u) <= A_N(uv), A_N(ua) <= A_N(u) + 1, A_N(aw) <= A_N(w) + 1,
     A_N(reverse w) = A_N(w) and Hyde's bound:
 
     - if the word's reversal, renamed, is there, its path is read
@@ -339,23 +362,26 @@ def an_exact(
       m = n // 2.  If lo = hi >= 2, the value is hi and no level is
       searched.  Otherwise level lo alone is searched; if it has no
       witness, the value is hi, with that bound's path;
-    - otherwise every level from 1 is searched.
+    - otherwise levels are searched from 1, up to the first with a
+      witness or the first exhausted level q whose value q + 1 is proved:
+      q + 1 = hyde_bound(n), by Hyde's path, or a path of n - 1 steps
+      that survived level q, by that path plus one new final state q.
 
     The witness is always built from the word's own letters and re-checked,
-    and the value equals the one from a fresh dict.  From a fresh dict, the
-    witness has the lexicographically least canonical state sequence; a
-    ``"factor-bracket"`` result may have another.  A sweep in order of
-    length finds every word's factors.  Pass a fresh dict per sweep, so
+    and the value equals the one without a dict.  A ``"factor-bracket"``
+    result may have a witness other than the least one.  A sweep in order
+    of length finds every word's factors.  Pass a fresh dict per sweep, so
     that it is freed when the sweep returns.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if searches is None:
+    least = searches is None
+    if least:
         searches = {}
     key = _renamed_in_order(word.letters)
     found = searches.get(key)
     if found is None:
-        found = searches[key] = _decide(searches, key)
+        found = searches[key] = _decide(searches, key, least)
     q, seq, exhausted_nodes, mode = found
     witness = _witness_from_path(word, seq, q)
     if not uniquely_accepts(witness, word):

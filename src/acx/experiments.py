@@ -256,9 +256,11 @@ def worker_count(jobs: int) -> int:
     return 1 if jobs == 1 else min(jobs, os.cpu_count() or 1)
 
 
-def _an_value_of_letters(args: tuple[tuple[int, ...], int]) -> int:
-    letters, k = args
-    return an_exact(Word(letters, k)).value
+def _an_values(args: tuple[list[tuple[int, ...]], int]) -> list[int]:
+    """A_N of each word of a chunk, decided through one sweep dict."""
+    chunk, k = args
+    searches: dict = {}
+    return [an_exact(Word(letters, k), searches=searches).value for letters in chunk]
 
 
 def survey(
@@ -273,7 +275,11 @@ def survey(
 
     No asymptotic claim is made; the report is raw data.  Identical inputs
     give identical reports: the word stream depends only on the seed, and
-    samples are evaluated independently and aggregated by index.
+    values are aggregated by index.  The words of one chunk, or of the
+    whole stream when there is one worker, share one an_exact sweep dict,
+    so a word renamed or reversed from an earlier one takes its value, and
+    a word needs no search at its value level once that value is proved.
+    A value does not depend on the dict.
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
@@ -287,12 +293,11 @@ def survey(
         # about four chunks per worker, so every worker gets a share of the
         # samples and an uneven chunk costs at most a quarter of one share
         chunksize = max(1, samples // (4 * workers))
+        chunks = ((stream[i : i + chunksize], k) for i in range(0, samples, chunksize))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(
-                pool.map(_an_value_of_letters, ((s, k) for s in stream), chunksize=chunksize)
-            )
+            values = [v for chunk in pool.map(_an_values, chunks) for v in chunk]
     else:
-        values = [an_exact(Word(s, k)).value for s in stream]
+        values = _an_values((stream, k))
     ratios = [Fraction(2 * v, n) for v in values]
     counts: dict[Fraction, int] = {}
     for r in ratios:

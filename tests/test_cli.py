@@ -348,6 +348,23 @@ class TestModuleEntryPoint:
         assert (done.returncode, done.stdout) == run(capsys, *argv)[:2]
         assert done.returncode == code
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize(
+        "argv", [("verify", "--suite", "sandwich", "--n-max", "5"), ("compute", "0110")]
+    )
+    def test_closed_stdout_exits_1_without_a_traceback(self, argv, unbuffered):
+        # with buffering, the write fails only when stdout is flushed
+        process = subprocess.Popen(
+            [sys.executable, "-m", "acx", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**src_env(), "PYTHONUNBUFFERED": unbuffered},
+        )
+        process.stdout.close()
+        _, err = process.communicate(timeout=60)
+        assert process.returncode == 1
+        assert err == b""
+
 
 class TestDomainErrors:
     @pytest.mark.parametrize(

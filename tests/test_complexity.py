@@ -331,8 +331,10 @@ class TestSharedSearch:
         assert len(level_searches) == 2 * 82
         del level_searches[:]
         acx.modular.exact_values_binary(8, {})
-        # a fresh dict holds no factors of length 7
-        assert len(level_searches) == 302
+        # a fresh dict holds no factors of length 7; a word whose value is
+        # Hyde's bound, or whose last exhausted level entered a path of 7
+        # steps, searches no level at its value (302 level searches before)
+        assert len(level_searches) == 266
         del level_searches[:]
         # one dict across all lengths: every word of length n >= 1 finds
         # both its factors
@@ -440,11 +442,13 @@ class TestFactorBracket:
 
     def test_missing_prefix_bypasses_the_bracket(self):
         shared: dict = {}
-        # the suffix 110 (renamed 001) is there, the prefix 011 is not
+        # the suffix 110 (renamed 001) is there, the prefix 011 is not, so
+        # levels are searched from 1 and Hyde's bound is proved at level 2
         an_exact(W("001"), searches=shared)
         result = an_exact(W("0110"), searches=shared)
-        assert result == an_exact(W("0110"))
-        assert result.certificate.search_mode == "path-induced"
+        unshared = an_exact(W("0110"))
+        assert result.value == unshared.value == 3
+        assert result.certificate.search_nodes == unshared.certificate.search_nodes
 
     def test_mirror_witness(self):
         shared: dict = {}
@@ -460,6 +464,62 @@ class TestFactorBracket:
         assert uniquely_accepts(result.witness, W("0010"))
         # the mirror's path is not the least one for 0010
         assert result.witness != an_exact(W("0010")).witness
+
+
+class TestValuesOnlySweep:
+    """A word that a sweep dict cannot bracket is searched from level 1 up
+    to the first exhausted level q whose value q + 1 is proved: by Hyde's
+    bound, or by a path of n - 1 steps that survived level q."""
+
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), max_size=12))
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_value_and_exhausted_levels(self, word):
+        k, letters = word
+        w = Word(tuple(letters), k)
+        result = an_exact(w, searches={})
+        unshared = an_exact(w)
+        assert result.value == unshared.value
+        assert result.certificate.states_ruled_out == unshared.certificate.states_ruled_out
+        assert result.certificate.search_nodes == unshared.certificate.search_nodes
+        assert result.witness.q == result.value
+        assert uniquely_accepts(result.witness, w)
+        if result.certificate.search_mode == "path-induced":
+            assert result == unshared
+        else:
+            assert result.certificate.search_mode == "factor-bracket"
+
+    def test_hyde_case(self, level_searches):
+        w = W("0110")
+        result = an_exact(w, searches={})
+        # level 2 is exhausted and hyde_bound(4) = 3, so level 3 is not searched
+        assert [q for _, q in level_searches] == [1, 2]
+        assert result.value == hyde_bound(4) == 3
+        path = acx.complexity._hyde_path(4)
+        assert result.witness == acx.complexity._witness_from_path(w, path, 3)
+        assert result.certificate == SearchCertificate(
+            states_ruled_out=2,
+            search_nodes=an_exact(w).certificate.search_nodes,
+            search_mode="factor-bracket",
+        )
+
+    def test_prefix_case(self, level_searches):
+        # level 1 cuts 0001 at its last letter, but the loop 0 -0-> 0 reads
+        # 000 with one walk; a new final state after it reads 0001
+        assert acx.complexity._search_level((0, 0, 0, 1), 1)[0] == (0, 0, 0, 0)
+        del level_searches[:]
+        result = an_exact(W("0001"), searches={})
+        assert [q for _, q in level_searches] == [1]
+        assert result.value == 2 < hyde_bound(4)
+        assert result.witness == Nfa(q=2, k=2, transitions={(0, 0, 0), (0, 1, 1)}, finals={1})
+        assert result.certificate == SearchCertificate(
+            states_ruled_out=1,
+            search_nodes=an_exact(W("0001")).certificate.search_nodes,
+            search_mode="factor-bracket",
+        )
 
 
 def recording_executor(created: list):

@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
+
+import acx.complexity
 
 from acx.experiments import (
     DeterministicRng,
@@ -14,6 +17,7 @@ from acx.experiments import (
     verify_reference_word,
     REFERENCE_WORD,
 )
+from acx.cli import main
 from acx.complexity import an_exact, hyde_bound
 from acx.nfa import uniquely_accepts
 from acx.words import Word
@@ -91,6 +95,19 @@ class TestRng:
         assert len(set(draws)) == 3
 
 
+SURVEY_8_1000_2026 = {
+    "n": 8,
+    "k": 2,
+    "samples": 1000,
+    "seed": 2026,
+    "epsilon": "1/3",
+    "distribution": {"1/4": 0.009, "1/2": 0.023, "3/4": 0.089, "1": 0.506, "5/4": 0.373},
+    "mean": 1.05275,
+    "median": 1.0,
+    "within_epsilon": 0.968,
+}
+
+
 class TestSurvey:
     def test_deterministic(self):
         a = survey(n=8, samples=60, seed=42, epsilon=Fraction(1, 3))
@@ -119,6 +136,27 @@ class TestSurvey:
         a = survey(n=10, samples=24, seed=5, epsilon=Fraction(1, 2))
         b = survey(n=10, samples=24, seed=5, epsilon=Fraction(1, 2), jobs=2)
         assert a == b
+
+    def test_words_share_one_dict_per_chunk(self, monkeypatch, capsys):
+        calls = []
+        search_level = acx.complexity._search_level
+
+        def counting(*args):
+            calls.append(args)
+            return search_level(*args)
+
+        monkeypatch.setattr(acx.complexity, "_search_level", counting)
+        sequential = survey(n=8, samples=1000, seed=2026, epsilon=Fraction(1, 3))
+        # the 1000 samples fall into 72 classes under renaming and reversal,
+        # and each class is searched once
+        assert len({letters for letters, _ in calls}) == 72
+        assert len(calls) == 266
+        monkeypatch.undo()
+        parallel = survey(n=8, samples=1000, seed=2026, epsilon=Fraction(1, 3), jobs=2)
+        assert parallel == sequential
+        assert main(["survey", "--n", "8", "--samples", "1000", "--seed", "2026", "--json"]) == 0
+        # the output of the search that decided every word from a fresh dict
+        assert capsys.readouterr().out == json.dumps(SURVEY_8_1000_2026, indent=2) + "\n"
 
     def test_json_shape(self):
         report = survey(n=6, samples=20, seed=0, epsilon=Fraction(1, 3))
