@@ -128,7 +128,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_classify(args) -> int:
     w = _parse_word(args.word, args.alphabet)
-    value = complexity.an_exact(w).value
+    value = complexity.an_exact(w, searches={}).value
     member = value * args.c > len(w)
     if args.json:
         _emit_json(
@@ -142,7 +142,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_simple(args) -> int:
     w = _parse_word(args.word, args.alphabet)
-    value = complexity.an_exact(w).value
+    value = complexity.an_exact(w, searches={}).value
     bound = complexity.hyde_bound(len(w))
     simple = value < bound
     if args.json:

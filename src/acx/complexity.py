@@ -46,13 +46,15 @@ class SearchCertificate:
     level.  ``"factor-bracket"`` means that in a sweep (see an_exact) a
     proved bound ruled out some level, or fixed the value, without a
     search of that level; the witness is then still valid but need not be
-    the least one.
+    the least one.  ``"branch-and-bound"`` means that one walk below
+    Hyde's bound ruled out every smaller state count at once; its witness
+    need not be the least one either.
 
     search_nodes counts the extensions examined on the ruled out levels
     that were searched; levels the bracket ruled out add nothing, and a
     result read from the word's mirror carries the mirror's count.  The
-    level that produced the witness is not included, so a sweep word whose
-    value level was not searched has the count of a call without a dict.
+    level that produced the witness is not included.  A branch-and-bound
+    result counts the whole of its one walk, which is not split by level.
     """
 
     states_ruled_out: int
@@ -82,7 +84,7 @@ class ComplexityResult:
 
 
 class _LevelSearch:
-    """Depth-first scan of canonical q-state path candidates for one word.
+    """Depth-first scan of canonical path candidates with lo to q states.
 
     The committed transitions are held once, as ``labels[p][t]``: the
     bitmask of the letters on the edge p -> t, which also answers whether a
@@ -104,20 +106,29 @@ class _LevelSearch:
     undo restores it whole.  Each cut is one that the full rebuild would
     make, so the prune stays exact.
 
-    The search runs in the calling process: one level is one depth-first
-    walk, which stops at its first full path.  It keeps the first path of
-    n - 1 steps that it enters as ``prefix``: that path's automaton
-    uniquely accepts the word without its last letter.
+    The search runs in the calling process, as one depth-first walk over
+    the window [lo, q] of state counts.  It prunes every target >= q and
+    every path that can no longer use lo states, and it stops at its first
+    full path with lo states.  A full path with m + 1 > lo states is kept
+    as ``best`` and sets q = m, so the walk goes on for a witness with
+    fewer states.  A path of n - 1 steps with m + 1 states uniquely accepts
+    the word without its last letter, so it plus one new final state m + 1
+    is a witness with m + 2 states; it is kept as ``best``, and q drops to
+    m + 1, when that is below q and not below lo.  With lo = q, q never
+    moves, and the walk is one level's search.  When the walk ends without
+    a full path of lo states, ``best`` has q + 1 states, and every
+    candidate with at most q states has been ruled out.
     """
 
     __slots__ = (
-        "letters", "n", "q", "labels", "out_any", "out_multi", "in_any",
-        "rows", "path", "nodes", "prefix",
+        "letters", "n", "lo", "q", "labels", "out_any", "out_multi", "in_any",
+        "rows", "path", "nodes", "best",
     )
 
-    def __init__(self, letters: Sequence[int], q: int):
+    def __init__(self, letters: Sequence[int], lo: int, q: int):
         self.letters = tuple(letters)
         self.n = len(letters)
+        self.lo = lo
         self.q = q
         self.labels = [[0] * q for _ in range(q)]
         self.out_any = [0] * q
@@ -126,7 +137,7 @@ class _LevelSearch:
         self.rows: list[tuple[int, int]] = [(1, 0)]
         self.path: list[int] = [0]
         self.nodes = 0
-        self.prefix: Optional[tuple[int, ...]] = None
+        self.best: Optional[tuple[int, ...]] = None
 
     def _step(self, row: tuple[int, int]) -> tuple[int, int]:
         m1, m2 = row
@@ -212,46 +223,55 @@ class _LevelSearch:
         self.rows = rows
         self._relabel(source, target, old)
 
-    def _walk(self, depth: int, max_state: int) -> Optional[tuple[int, ...]]:
+    def _walk(self, depth: int, max_state: int) -> bool:
         """Extend the path depth first, in lexicographic order of targets.
 
-        A full path is returned if it uses all q states, which ends the
-        walk.  The extension into the endpoint already ruled out a second
-        walk there.
+        Returns True once a full path with lo states ends the walk.  The
+        extension into the endpoint already ruled out a second walk there.
         """
         remaining = self.n - depth - 1
         if remaining <= 0:
             if remaining:
-                return tuple(self.path) if max_state == self.q - 1 else None
-            if self.prefix is None:
-                self.prefix = tuple(self.path)
-        limit = max_state + 1
-        if limit > self.q - 1:
-            limit = self.q - 1
-        for target in range(limit + 1):
+                self.best = tuple(self.path)
+                if max_state < self.lo:
+                    return True
+                self.q = max_state
+                return False
+            if self.lo <= max_state + 1 < self.q:
+                self.best = tuple(self.path) + (max_state + 1,)
+                self.q = max_state + 1
+        # a target below floor leaves too few steps to use all lo states
+        floor = self.lo - 1 - remaining
+        for target in range(max_state + 2):
             new_max = max_state if target <= max_state else target
-            if self.q - 1 - new_max > remaining:
+            if new_max >= self.q:
+                break
+            if new_max < floor:
                 continue
             self.nodes += 1
             record = self._extend(depth, target)
             if record is None:
                 continue
-            result = self._walk(depth + 1, new_max)
+            done = self._walk(depth + 1, new_max)
             self._retract(record)
-            if result is not None:
-                return result
-        return None
+            if done:
+                return True
+        return False
 
 
-def _search_level(letters: Sequence[int], q: int) -> tuple[Optional[tuple[int, ...]], int]:
-    """The least surviving full path with q states, and the nodes examined.
+def _search_level(
+    letters: Sequence[int], lo: int, q: Optional[int] = None
+) -> tuple[Optional[tuple[int, ...]], int]:
+    """The one walk over [lo, q] states: its witness path and its nodes.
 
-    A level without a full path returns in its place the first surviving
-    path of n - 1 steps, one entry shorter, or None if it entered none.
+    q defaults to lo.  With lo = q, the path is the least full path with q
+    states, or None if the level is exhausted.  With lo < q, it is the
+    walk's last witness path, with the fewest states of any path-induced
+    witness with lo to q states, or None if there is none.
     """
-    search = _LevelSearch(letters, q)
-    path = search._walk(0, 0)
-    return (search.prefix if path is None else path), search.nodes
+    search = _LevelSearch(letters, lo, lo if q is None else q)
+    search._walk(0, 0)
+    return search.best, search.nodes
 
 
 def _witness_from_path(word: Word, seq: tuple[int, ...], q: int) -> Nfa:
@@ -296,7 +316,7 @@ def _decide(
     prefix = searches.get(letters[:-1])
     suffix = searches.get(_renamed_in_order(letters[1:]))
     if prefix is not None and suffix is not None:
-        lo = top = max(prefix[0], suffix[0])
+        lo = max(prefix[0], suffix[0])
         hi, path = min(
             (prefix[0] + 1, prefix[1] + (prefix[0],)),
             (suffix[0] + 1, (0,) + tuple(s + 1 for s in suffix[1])),
@@ -307,26 +327,28 @@ def _decide(
         # its certificate stays path-induced
         if lo == hi >= 2:
             return hi, path, 0, "factor-bracket"
+        seq, nodes = _search_level(letters, lo)
+        if seq is not None:
+            # from level 1, every level up to the witness is searched
+            return lo, seq, 0, "path-induced" if lo == 1 else "factor-bracket"
+        if hi > lo:
+            return hi, path, nodes, "factor-bracket"
+    elif least:
+        exhausted_nodes = 0
+        for q in range(1, hyde_bound(n) + 1):
+            seq, level_nodes = _search_level(letters, q)
+            if seq is not None:
+                return q, seq, exhausted_nodes, "path-induced"
+            exhausted_nodes += level_nodes
     else:
-        lo, top = 1, hyde_bound(n)
-        hi, path = top, _hyde_path(n)
-    # from level 1, every level up to a witness found is searched
-    mode = "path-induced" if lo == 1 else "factor-bracket"
-    exhausted_nodes = 0
-    for q in range(lo, top + 1):
-        seq, level_nodes = _search_level(letters, q)
-        if seq is not None and len(seq) > n:
-            return q, seq, exhausted_nodes, mode
-        exhausted_nodes += level_nodes
-        if least:
-            continue
-        # A_N(w) > q now, and a path of n - 1 steps that survived level q
-        # gives A_N(w[:-1]) <= q, so A_N(w) <= q + 1
-        if seq is not None and q + 1 < hi:
-            hi, path = q + 1, seq + (q,)
-        if hi == q + 1:
-            return hi, path, exhausted_nodes, "factor-bracket"
-    raise RuntimeError(f"no witness with at most {top} states, against Hyde's bound")
+        # Hyde's path is a witness with q + 1 states, so the walk looks for
+        # one with at most q; the words of length 0 and 1 need no walk
+        q = hyde_bound(n) - 1
+        seq, nodes = _search_level(letters, 1, q) if q else (None, 0)
+        if seq is None:
+            return q + 1, _hyde_path(n), nodes, "branch-and-bound"
+        return max(seq) + 1, seq, nodes, "branch-and-bound"
+    raise RuntimeError(f"no witness with at most {hyde_bound(n)} states, against Hyde's bound")
 
 
 def an_exact(
@@ -362,16 +384,19 @@ def an_exact(
       m = n // 2.  If lo = hi >= 2, the value is hi and no level is
       searched.  Otherwise level lo alone is searched; if it has no
       witness, the value is hi, with that bound's path;
-    - otherwise levels are searched from 1, up to the first with a
-      witness or the first exhausted level q whose value q + 1 is proved:
-      q + 1 = hyde_bound(n), by Hyde's path, or a path of n - 1 steps
-      that survived level q, by that path plus one new final state q.
+    - otherwise one branch-and-bound walk looks for a witness with fewer
+      than hyde_bound(n) states (see _LevelSearch): each full path it
+      finds, and each path of n - 1 steps plus one new final state, lowers
+      the state count it still looks for.  The value is the state count of
+      its last witness, or hyde_bound(n), with Hyde's path, if it finds
+      none.  Callers that read only the value pass a fresh dict to take
+      this walk.
 
     The witness is always built from the word's own letters and re-checked,
-    and the value equals the one without a dict.  A ``"factor-bracket"``
-    result may have a witness other than the least one.  A sweep in order
-    of length finds every word's factors.  Pass a fresh dict per sweep, so
-    that it is freed when the sweep returns.
+    and the value equals the one without a dict.  A ``"factor-bracket"`` or
+    ``"branch-and-bound"`` result may have a witness other than the least
+    one.  A sweep in order of length finds every word's factors.  Pass a
+    fresh dict per sweep, so that it is freed when the sweep returns.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -453,12 +478,12 @@ def complexity_exceeds(w: Word, c: int) -> bool:
     """True iff A_N(w) > |w|/c, compared exactly in the integers."""
     if c < 1:
         raise ValueError("the ratio denominator c must be at least 1")
-    return an_exact(w).value * c > len(w)
+    return an_exact(w, searches={}).value * c > len(w)
 
 
 def is_an_simple(w: Word) -> bool:
     """True iff A_N(w) is strictly below the universal bound floor(n/2)+1."""
-    return an_exact(w).value < hyde_bound(len(w))
+    return an_exact(w, searches={}).value < hyde_bound(len(w))
 
 
 def power_bound_implication_holds(w: Word, alpha: Rational) -> bool:
@@ -470,7 +495,7 @@ def power_bound_implication_holds(w: Word, alpha: Rational) -> bool:
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError(f"alpha must be at least 1, got {alpha}")
-    if an_exact(w).value * alpha <= len(w):
+    if an_exact(w, searches={}).value * alpha <= len(w):
         return contains_alpha_power(w, alpha) is not None
     return True
 

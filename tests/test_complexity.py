@@ -135,6 +135,18 @@ class TestAnExact:
             assert len(short) == 2 ** (n_max + 1) - 1
 
 
+def assert_matches_naive_oracle(w: Word) -> None:
+    """The least-witness search gives the naive solver's value and witness;
+    the bounded walk of a fresh sweep dict gives its value and a witness
+    that accepts w uniquely."""
+    oracle = path_induced_oracle(w)
+    result = an_exact(w)
+    assert (result.value, result.witness) == oracle, w
+    bounded = an_exact(w, searches={})
+    assert bounded.value == oracle[0], w
+    assert uniquely_accepts(bounded.witness, w), w
+
+
 class TestKernelInvariants:
     """Node counts and witnesses that a change to the search kernel alone
     must leave exactly as they are."""
@@ -201,16 +213,12 @@ class TestKernelInvariants:
     def test_naive_oracle_all_binary_up_to_seven(self):
         for n in range(8):
             for letters in product((0, 1), repeat=n):
-                w = Word(letters, 2)
-                result = an_exact(w)
-                assert (result.value, result.witness) == path_induced_oracle(w), w
+                assert_matches_naive_oracle(Word(letters, 2))
 
     def test_naive_oracle_ternary_sample_up_to_seven(self):
         words = [l for n in range(8) for l in product(range(3), repeat=n)]
         for letters in random.Random(2026).sample(words, 60):
-            w = Word(letters, 3)
-            result = an_exact(w)
-            assert (result.value, result.witness) == path_induced_oracle(w), w
+            assert_matches_naive_oracle(Word(letters, 3))
 
     @given(
         st.integers(2, 4).flatmap(
@@ -221,9 +229,7 @@ class TestKernelInvariants:
     def test_naive_oracle_length_eight(self, drawn):
         # length 8 reaches A_N = 5, one level above the exhaustive checks
         k, letters = drawn
-        w = Word(tuple(letters), k)
-        result = an_exact(w)
-        assert (result.value, result.witness) == path_induced_oracle(w), w
+        assert_matches_naive_oracle(Word(tuple(letters), k))
 
 
 class TestOneProcessPerWord:
@@ -320,26 +326,27 @@ class TestSharedSearch:
             if result.certificate.search_mode == "path-induced":
                 assert result == unshared[w], w
             else:
-                assert result.certificate.search_mode == "factor-bracket", w
+                assert result.certificate.search_mode in ("factor-bracket", "branch-and-bound"), w
         assert len(shared) == searches
 
     def test_sharing_lasts_one_sweep(self, level_searches):
-        # all 1093 ternary words up to length 6, bracketed by their factors
+        # all 1093 ternary words up to length 6, bracketed by their factors;
+        # the empty word, first in the sweep, takes Hyde's path with no walk
+        # (82 level searches before, with one for the empty word)
         assert acx.experiments.sandwich_check(6).ok
-        assert len(level_searches) == 82
+        assert len(level_searches) == 81
         assert acx.experiments.sandwich_check(6).ok
-        assert len(level_searches) == 2 * 82
+        assert len(level_searches) == 2 * 81
         del level_searches[:]
         acx.modular.exact_values_binary(8, {})
-        # a fresh dict holds no factors of length 7; a word whose value is
-        # Hyde's bound, or whose last exhausted level entered a path of 7
-        # steps, searches no level at its value (302 level searches before)
-        assert len(level_searches) == 266
+        # a fresh dict holds no factors of length 7, so each of the 72
+        # classes is decided by one bounded walk (266 level searches before)
+        assert len(level_searches) == 72
         del level_searches[:]
         # one dict across all lengths: every word of length n >= 1 finds
         # both its factors
         acx.modular.table_best_bound(6, 8)
-        assert len(level_searches) == 95
+        assert len(level_searches) == 94
 
 
 class TestFactorBracket:
@@ -443,12 +450,14 @@ class TestFactorBracket:
     def test_missing_prefix_bypasses_the_bracket(self):
         shared: dict = {}
         # the suffix 110 (renamed 001) is there, the prefix 011 is not, so
-        # levels are searched from 1 and Hyde's bound is proved at level 2
+        # one bounded walk below Hyde's bound decides the word
         an_exact(W("001"), searches=shared)
         result = an_exact(W("0110"), searches=shared)
         unshared = an_exact(W("0110"))
         assert result.value == unshared.value == 3
-        assert result.certificate.search_nodes == unshared.certificate.search_nodes
+        walk_nodes = acx.complexity._search_level((0, 1, 1, 0), 1, 2)[1]
+        assert result.certificate.search_nodes == walk_nodes
+        assert result.certificate.search_mode == "branch-and-bound"
 
     def test_mirror_witness(self):
         shared: dict = {}
@@ -467,9 +476,10 @@ class TestFactorBracket:
 
 
 class TestValuesOnlySweep:
-    """A word that a sweep dict cannot bracket is searched from level 1 up
-    to the first exhausted level q whose value q + 1 is proved: by Hyde's
-    bound, or by a path of n - 1 steps that survived level q."""
+    """A word that a sweep dict cannot bracket is decided by one bounded
+    walk below Hyde's bound: a full path lowers the bound to one state
+    below its own count, and a path of n - 1 steps with m + 1 states to
+    m + 1, since it plus one new final state is a witness."""
 
     @given(
         st.integers(2, 3).flatmap(
@@ -484,42 +494,107 @@ class TestValuesOnlySweep:
         unshared = an_exact(w)
         assert result.value == unshared.value
         assert result.certificate.states_ruled_out == unshared.certificate.states_ruled_out
-        assert result.certificate.search_nodes == unshared.certificate.search_nodes
+        top = hyde_bound(len(w)) - 1
+        key = acx.complexity._renamed_in_order(w.letters)
+        walk_nodes = acx.complexity._search_level(key, 1, top)[1] if top else 0
+        assert result.certificate.search_nodes == walk_nodes
         assert result.witness.q == result.value
         assert uniquely_accepts(result.witness, w)
-        if result.certificate.search_mode == "path-induced":
-            assert result == unshared
-        else:
-            assert result.certificate.search_mode == "factor-bracket"
+        assert result.certificate.search_mode == "branch-and-bound"
 
     def test_hyde_case(self, level_searches):
         w = W("0110")
         result = an_exact(w, searches={})
-        # level 2 is exhausted and hyde_bound(4) = 3, so level 3 is not searched
-        assert [q for _, q in level_searches] == [1, 2]
+        # the walk below hyde_bound(4) = 3 finds no witness with 2 states
+        assert level_searches == [((0, 1, 1, 0), 1, 2)]
         assert result.value == hyde_bound(4) == 3
         path = acx.complexity._hyde_path(4)
         assert result.witness == acx.complexity._witness_from_path(w, path, 3)
+        assert uniquely_accepts(result.witness, w)
         assert result.certificate == SearchCertificate(
             states_ruled_out=2,
-            search_nodes=an_exact(w).certificate.search_nodes,
-            search_mode="factor-bracket",
+            search_nodes=acx.complexity._search_level((0, 1, 1, 0), 1, 2)[1],
+            search_mode="branch-and-bound",
         )
 
     def test_prefix_case(self, level_searches):
         # level 1 cuts 0001 at its last letter, but the loop 0 -0-> 0 reads
         # 000 with one walk; a new final state after it reads 0001
-        assert acx.complexity._search_level((0, 0, 0, 1), 1)[0] == (0, 0, 0, 0)
+        assert acx.complexity._search_level((0, 0, 0, 1), 1)[0] is None
         del level_searches[:]
         result = an_exact(W("0001"), searches={})
-        assert [q for _, q in level_searches] == [1]
+        assert level_searches == [((0, 0, 0, 1), 1, 2)]
         assert result.value == 2 < hyde_bound(4)
         assert result.witness == Nfa(q=2, k=2, transitions={(0, 0, 0), (0, 1, 1)}, finals={1})
+        assert uniquely_accepts(result.witness, W("0001"))
+        # the walk stops at the cut of the last letter, as level 1 did
         assert result.certificate == SearchCertificate(
             states_ruled_out=1,
             search_nodes=an_exact(W("0001")).certificate.search_nodes,
-            search_mode="factor-bracket",
+            search_mode="branch-and-bound",
         )
+
+
+class TestBoundedWalk:
+    """Node and walk counts of the bounded walk that no machine changes,
+    and the cases at its edges."""
+
+    def test_node_counts(self, monkeypatch):
+        nodes = []
+        search_level = acx.complexity._search_level
+
+        def counting(*args):
+            path, count = search_level(*args)
+            nodes.append(count)
+            return path, count
+
+        monkeypatch.setattr(acx.complexity, "_search_level", counting)
+        acx.modular.exact_values_binary(8, {})
+        # one walk per class; the level-by-level search made 266 walks of
+        # 20,956 nodes in all
+        assert (len(nodes), sum(nodes)) == (72, 15613)
+        assert sum(nodes) < 20956
+        del nodes[:]
+        acx.experiments.survey(n=12, samples=200, seed=5, epsilon=Fraction(1, 3), k=3)
+        # level by level: 1190 walks of 658,446 nodes in all
+        assert (len(nodes), sum(nodes)) == (200, 450711)
+        assert sum(nodes) < 658446
+
+    @pytest.mark.parametrize("text", ["", "0", "1"])
+    def test_no_walk_below_one_state(self, level_searches, text):
+        # hyde_bound(n) = 1 for n <= 1, so the walk would look for a
+        # witness with no states; Hyde's path is the witness
+        w = W(text, k=2)
+        result = an_exact(w, searches={})
+        assert level_searches == []
+        assert result.value == 1
+        assert result.witness == acx.complexity._witness_from_path(
+            w, acx.complexity._hyde_path(len(w)), 1
+        )
+        assert uniquely_accepts(result.witness, w)
+        assert result.certificate == SearchCertificate(
+            states_ruled_out=0, search_nodes=0, search_mode="branch-and-bound"
+        )
+
+    def test_full_path_above_the_value_lowers_the_bound(self, monkeypatch):
+        # the first full path of 0010101010 has 5 states, below
+        # hyde_bound(10) = 6; the walk goes on and finds one with 3
+        walk = acx.complexity._LevelSearch._walk
+        full_paths = []
+
+        def recording(self, depth, max_state):
+            if depth == self.n:
+                full_paths.append(max_state + 1)
+            return walk(self, depth, max_state)
+
+        monkeypatch.setattr(acx.complexity._LevelSearch, "_walk", recording)
+        w = W("0010101010")
+        result = an_exact(w, searches={})
+        assert full_paths == [5, 3]
+        assert result.value == an_exact(w).value == 3
+        assert result.witness.q == 3
+        assert uniquely_accepts(result.witness, w)
+        assert result.certificate.states_ruled_out == 2
 
 
 def recording_executor(created: list):

@@ -148,9 +148,9 @@ class TestSurvey:
         monkeypatch.setattr(acx.complexity, "_search_level", counting)
         sequential = survey(n=8, samples=1000, seed=2026, epsilon=Fraction(1, 3))
         # the 1000 samples fall into 72 classes under renaming and reversal,
-        # and each class is searched once
-        assert len({letters for letters, _ in calls}) == 72
-        assert len(calls) == 266
+        # and each class is decided by one walk
+        assert len({args[0] for args in calls}) == 72
+        assert len(calls) == 72
         monkeypatch.undo()
         parallel = survey(n=8, samples=1000, seed=2026, epsilon=Fraction(1, 3), jobs=2)
         assert parallel == sequential
