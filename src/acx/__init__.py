@@ -50,8 +50,6 @@ from .modular import (
 )
 from .nfa import (
     Nfa,
-    accepts_spelling,
-    count_length_n_accepting_paths,
     to_dot,
     uniquely_accepts,
 )

@@ -41,20 +41,25 @@ def hyde_bound(n: int) -> int:
 class SearchCertificate:
     """Evidence that every smaller state count was ruled out.
 
-    search_mode ``"path-induced"`` means that every level from 1 up to the
-    value was searched, and the witness is the least path of the value
-    level.  ``"factor-bracket"`` means that in a sweep (see an_exact) a
-    proved bound ruled out some level, or fixed the value, without a
-    search of that level; the witness is then still valid but need not be
-    the least one.  ``"branch-and-bound"`` means that one walk below
-    Hyde's bound ruled out every smaller state count at once; its witness
-    need not be the least one either.
+    search_mode ``"path-induced"`` means that every level below the value
+    was ruled out, by one walk or by searches of single levels, and the
+    witness is the least path of the value level.  ``"factor-bracket"``
+    means that in a sweep (see an_exact) a proved bound ruled out some
+    level, or fixed the value, without a search of that level; the witness
+    is then still valid but need not be the least one.
+    ``"branch-and-bound"`` means that one walk below Hyde's bound ruled out
+    every smaller state count at once; its witness need not be the least
+    one either.
 
     search_nodes counts the extensions examined on the ruled out levels
-    that were searched; levels the bracket ruled out add nothing, and a
-    result read from the word's mirror carries the mirror's count.  The
-    level that produced the witness is not included.  A branch-and-bound
-    result counts the whole of its one walk, which is not split by level.
+    that were searched, each as the search of that level alone counts
+    them; levels the bracket ruled out add nothing, and a result read from
+    the word's mirror carries the mirror's count.  The level that produced
+    the witness is not included.  A path-induced result without a dict
+    takes all of its levels from one walk, which counts an extension once
+    for each level whose search would examine it (see
+    _LevelSearch.level_nodes).  A branch-and-bound result counts the whole
+    of its one walk, once per extension and not split by level.
     """
 
     states_ruled_out: int
@@ -118,11 +123,16 @@ class _LevelSearch:
     moves, and the walk is one level's search.  When the walk ends without
     a full path of lo states, ``best`` has q + 1 states, and every
     candidate with at most q states has been ruled out.
+
+    ``counts[d][m]`` is the number of extensions examined from depth d
+    whose path then has largest state m.  Which are cut does not depend
+    on the window, so these counts also give the nodes of each exhausted
+    level's own search (level_nodes).
     """
 
     __slots__ = (
         "letters", "n", "lo", "q", "labels", "out_any", "out_multi", "in_any",
-        "rows", "path", "nodes", "best",
+        "rows", "path", "counts", "best",
     )
 
     def __init__(self, letters: Sequence[int], lo: int, q: int):
@@ -136,7 +146,7 @@ class _LevelSearch:
         self.in_any = [0] * q
         self.rows: list[tuple[int, int]] = [(1, 0)]
         self.path: list[int] = [0]
-        self.nodes = 0
+        self.counts = [[0] * q for _ in range(self.n)]
         self.best: Optional[tuple[int, ...]] = None
 
     def _step(self, row: tuple[int, int]) -> tuple[int, int]:
@@ -242,13 +252,14 @@ class _LevelSearch:
                 self.q = max_state + 1
         # a target below floor leaves too few steps to use all lo states
         floor = self.lo - 1 - remaining
+        counts = self.counts[depth]
         for target in range(max_state + 2):
             new_max = max_state if target <= max_state else target
             if new_max >= self.q:
                 break
             if new_max < floor:
                 continue
-            self.nodes += 1
+            counts[new_max] += 1
             record = self._extend(depth, target)
             if record is None:
                 continue
@@ -258,20 +269,44 @@ class _LevelSearch:
                 return True
         return False
 
+    def level_nodes(self, s: int) -> int:
+        """The nodes that the search of level s alone, lo = q = s, examines.
+
+        Cuts do not depend on the window, so that search examines exactly
+        this walk's extensions from a depth d into a path with largest
+        state m < s that can still use s states, s <= m + n - d.  Exact
+        for each level from lo to q at the end of a walk that found no path
+        with lo states: q never went below it, so the walk examined all of
+        those extensions.
+        """
+        n = self.n
+        return sum(
+            sum(row[max(0, s - n + depth):s]) for depth, row in enumerate(self.counts)
+        )
+
 
 def _search_level(
-    letters: Sequence[int], lo: int, q: Optional[int] = None
+    letters: Sequence[int],
+    lo: int,
+    q: Optional[int] = None,
+    levels: Optional[list] = None,
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """The one walk over [lo, q] states: its witness path and its nodes.
 
     q defaults to lo.  With lo = q, the path is the least full path with q
     states, or None if the level is exhausted.  With lo < q, it is the
     walk's last witness path, with the fewest states of any path-induced
-    witness with lo to q states, or None if there is none.
+    witness with lo to q states, or None if there is none.  A list passed
+    as ``levels`` is extended by the node count of each level from lo up
+    to one below the path's state count (up to q if there is no path), as
+    that level's own search counts it; each of those levels is exhausted.
     """
     search = _LevelSearch(letters, lo, lo if q is None else q)
     search._walk(0, 0)
-    return search.best, search.nodes
+    if levels is not None:
+        top = search.q if search.best is None else max(search.best)
+        levels.extend(search.level_nodes(s) for s in range(lo, top + 1))
+    return search.best, sum(map(sum, search.counts))
 
 
 def _witness_from_path(word: Word, seq: tuple[int, ...], q: int) -> Nfa:
@@ -300,7 +335,8 @@ def _decide(
 
     ``letters`` are renamed in order of first occurrence and not yet a key
     of ``searches``, so the empty word finds no mirror and no factors.
-    With ``least``, every level up to the value is searched.  Each upper
+    With ``least``, one walk rules out every level below the value and
+    finds the least path of the value level.  Each upper
     bound's path has one walk of the word's length to its end: a new
     initial or final state has one edge, so it adds no walk to the path
     it extends; Hyde's path ends at 0 for odd n and at 1 for even n, so a
@@ -334,12 +370,19 @@ def _decide(
         if hi > lo:
             return hi, path, nodes, "factor-bracket"
     elif least:
-        exhausted_nodes = 0
-        for q in range(1, hyde_bound(n) + 1):
-            seq, level_nodes = _search_level(letters, q)
-            if seq is not None:
-                return q, seq, exhausted_nodes, "path-induced"
-            exhausted_nodes += level_nodes
+        # the values-only walk of the next branch, which also counts the
+        # nodes of each level it exhausts.  Its bound stays at or above the
+        # value until it finds the least path with that many states, and
+        # never drops below the value minus one.  Hyde's path need not be
+        # the least one, so a word whose walk finds nothing searches
+        # Hyde's level alone
+        q = hyde_bound(n) - 1
+        levels: list[int] = []
+        seq = _search_level(letters, 1, q, levels)[0] if q else None
+        if seq is None:
+            seq = _search_level(letters, q + 1)[0]
+        if seq is not None:
+            return max(seq) + 1, seq, sum(levels), "path-induced"
     else:
         # Hyde's path is a witness with q + 1 states, so the walk looks for
         # one with at most q; the words of length 0 and 1 need no walk
@@ -359,13 +402,21 @@ def an_exact(
 ) -> ComplexityResult:
     """Exact A_N with a uniquely-accepting witness and exhaustion certificate.
 
-    The search runs in the calling process, in ascending state count up to
-    Hyde's bound floor(n/2)+1, which always admits a witness; the first
-    level with a witness is the answer.  ``jobs`` raises ValueError below 1
-    and changes nothing else: parallelism is across words, in survey.
+    The value is the least state count with a witness; Hyde's bound
+    floor(n/2)+1 always admits one.  The search runs in the calling
+    process.  ``jobs`` raises ValueError below 1 and changes nothing else:
+    parallelism is across words, in survey.
 
-    Without ``searches``, every level up to the value is searched, and
-    the witness has the lexicographically least canonical state sequence.
+    Without ``searches``, the word takes the branch-and-bound walk of the
+    last case below.  Until it finds a path with the value's state count,
+    it looks for one with at least that many, and the first it finds is
+    the lexicographically least canonical state sequence of that count,
+    which is the witness.  If it finds none, the value is Hyde's bound,
+    and that level alone is searched for its least path.  The walk rules
+    out every smaller state count, and the certificate is path-induced:
+    its node count is the sum, over the state counts below the value, of
+    the nodes that the search of that count alone examines, which the walk
+    counts on the way.
     ``searches`` is a dict that the calls of one sweep share.  It maps a
     word's letters, renamed in order of first occurrence, to its value,
     path, nodes and search mode: the search compares letters only for

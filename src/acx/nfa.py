@@ -40,55 +40,60 @@ class Nfa:
                 raise ValueError(f"final state {f} out of range")
 
 
-def accepts_spelling(m: Nfa, w: Word) -> bool:
-    """True iff some path from state 0 spelling w ends in a final state."""
-    for a in w.letters:
+def uniquely_accepts(m: Nfa, w: Word) -> bool:
+    """Accepts w, and the accepting walk of length |w| is unique.
+
+    Both halves run on state bitmasks.  The states that spell each prefix
+    of w are one mask.  The walks of each length, of any labels, are
+    counted up to two in two masks: the states reached by at least one
+    walk, and by at least two.  w is uniquely accepted when its spelled
+    states meet the finals and the finals together have one walk.
+    """
+    letters = w.letters
+    for a in letters:
         if a >= m.k:
             raise ValueError(f"letter {a} outside the automaton alphabet [{m.k}]")
-    delta: dict[tuple[int, int], list[int]] = {}
+    q = m.q
+    by_letter = [0] * (q * m.k)
+    out_any = [0] * q
+    out_multi = [0] * q
     for p, a, t in m.transitions:
-        delta.setdefault((p, a), []).append(t)
-    current = {0}
-    for a in w.letters:
-        current = {t for p in current for t in delta.get((p, a), ())}
-        if not current:
-            return False
-    return bool(current & m.finals)
-
-
-def count_length_n_accepting_paths(m: Nfa, n: int) -> int:
-    """Length-n walks from state 0 into a final state, capped at 2.
-
-    Dynamic program over (step, state); 0, 1 or 2 (two or more) is all
-    unique-acceptance checking needs.
-    """
-    if n < 0:
-        raise ValueError("walk length must be nonnegative")
-    pairs = [(p, t) for p, _, t in m.transitions]
-    counts = [0] * m.q
-    counts[0] = 1
-    for _ in range(n):
-        step = [0] * m.q
-        for p, t in pairs:
-            c = counts[p]
-            if c:
-                v = step[t] + c
-                step[t] = v if v < 2 else 2
-        counts = step
-    total = 0
+        bit = 1 << t
+        by_letter[a * q + p] |= bit
+        # two letters from p to t are two walks
+        out_multi[p] |= out_any[p] & bit
+        out_any[p] |= bit
+    finals = 0
     for f in m.finals:
-        total += counts[f]
-        if total >= 2:
-            return 2
-    return total
-
-
-def uniquely_accepts(m: Nfa, w: Word) -> bool:
-    """Accepts w, and the accepting walk of length |w| is unique."""
-    return (
-        accepts_spelling(m, w)
-        and count_length_n_accepting_paths(m, len(w)) == 1
-    )
+        finals |= 1 << f
+    current = 1
+    for a in letters:
+        base = a * q
+        reached = 0
+        while current:
+            low = current & -current
+            reached |= by_letter[base + low.bit_length() - 1]
+            current ^= low
+        if not reached:
+            return False
+        current = reached
+    if not current & finals:
+        return False
+    m1, m2 = 1, 0
+    for _ in letters:
+        r1 = r2 = 0
+        while m1:
+            low = m1 & -m1
+            p = low.bit_length() - 1
+            targets = out_any[p]
+            r2 |= (r1 & targets) | out_multi[p]
+            if m2 & low:
+                r2 |= targets
+            r1 |= targets
+            m1 ^= low
+        m1, m2 = r1, r2
+    once = m1 & finals
+    return not m2 & finals and once & (once - 1) == 0
 
 
 def to_json_dict(m: Nfa) -> dict:

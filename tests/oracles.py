@@ -25,6 +25,49 @@ def count_walks_oracle(m: Nfa, n: int, cap: int = 4) -> int:
     return rec(0, n)
 
 
+def accepts_spelling(m: Nfa, w: Word) -> bool:
+    """True iff some path from state 0 spelling w ends in a final state."""
+    for a in w.letters:
+        if a >= m.k:
+            raise ValueError(f"letter {a} outside the automaton alphabet [{m.k}]")
+    delta: dict[tuple[int, int], list[int]] = {}
+    for p, a, t in m.transitions:
+        delta.setdefault((p, a), []).append(t)
+    current = {0}
+    for a in w.letters:
+        current = {t for p in current for t in delta.get((p, a), ())}
+        if not current:
+            return False
+    return bool(current & m.finals)
+
+
+def count_length_n_accepting_paths(m: Nfa, n: int) -> int:
+    """Length-n walks from state 0 into a final state, capped at 2.
+
+    Dynamic program over (step, state); 0, 1 or 2 (two or more) is all
+    unique-acceptance checking needs.
+    """
+    if n < 0:
+        raise ValueError("walk length must be nonnegative")
+    pairs = [(p, t) for p, _, t in m.transitions]
+    counts = [0] * m.q
+    counts[0] = 1
+    for _ in range(n):
+        step = [0] * m.q
+        for p, t in pairs:
+            c = counts[p]
+            if c:
+                v = step[t] + c
+                step[t] = v if v < 2 else 2
+        counts = step
+    total = 0
+    for f in m.finals:
+        total += counts[f]
+        if total >= 2:
+            return 2
+    return total
+
+
 def power_occurrences_oracle(w: Word, alpha) -> list[tuple[int, int, int]]:
     """Every (start, period, length) window with exponent >= alpha.
 

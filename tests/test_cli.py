@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from acx.cli import build_parser, main
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -44,6 +46,16 @@ class TestCompute:
         _, first, _ = run(capsys, "compute", "01011", "--json")
         _, second, _ = run(capsys, "compute", "01011", "--json")
         assert first == second
+
+    @pytest.mark.parametrize(
+        "word", ["12312301234112341", "001111110100110110", "011000110111010111"]
+    )
+    def test_json_equals_golden_output(self, capsys, word):
+        # recorded when each state count was searched in turn: the same
+        # value, least witness, states ruled out, node count and mode
+        code, out, _ = run(capsys, "compute", word, "--json")
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"compute-{word}.json").read_bytes()
 
     def test_jobs_flag_matches_sequential(self, capsys):
         # the second word used to fan a level out to a process pool

@@ -115,7 +115,9 @@ class TestAnExact:
 
     def test_no_witness_is_a_fault_not_a_domain_error(self, monkeypatch):
         # Hyde's bound guarantees a witness, so a search without one is broken
-        monkeypatch.setattr(acx.complexity, "_search_level", lambda letters, q: (None, 0))
+        monkeypatch.setattr(
+            acx.complexity, "_search_level", lambda letters, lo, q=None, levels=None: (None, 0)
+        )
         with pytest.raises(RuntimeError, match="Hyde") as caught:
             an_exact(W("0110"))
         assert not isinstance(caught.value, ValueError)
@@ -205,10 +207,10 @@ class TestKernelInvariants:
 
         monkeypatch.setattr(acx.complexity._LevelSearch, "_step", counted)
         an_exact(REFERENCE)
-        assert len(calls) == 13383
+        assert len(calls) == 8804
         calls.clear()
         an_exact(W("001111110100110110", k=2))
-        assert len(calls) == 104135
+        assert len(calls) == 63225
 
     def test_naive_oracle_all_binary_up_to_seven(self):
         for n in range(8):
@@ -230,6 +232,67 @@ class TestKernelInvariants:
         # length 8 reaches A_N = 5, one level above the exhaustive checks
         k, letters = drawn
         assert_matches_naive_oracle(Word(tuple(letters), k))
+
+
+def levels_in_turn(letters: tuple[int, ...]):
+    """The least-witness search as first defined: each state count from 1
+    searched alone, in turn.  Returns the first level with a witness, its
+    least path, and the node count of each exhausted level below it."""
+    level_nodes = []
+    for q in range(1, hyde_bound(len(letters)) + 1):
+        path, nodes = acx.complexity._search_level(letters, q)
+        if path is not None:
+            return q, path, level_nodes
+        level_nodes.append(nodes)
+    raise AssertionError(f"no witness for {letters} at Hyde's bound")
+
+
+class TestOneLeastWalk:
+    """A word without a dict is decided by one walk below Hyde's bound,
+    and a search of Hyde's bound alone if that walk finds nothing.  Its
+    value, least witness and node count are those of searching the levels
+    in turn, and the walk counts each exhausted level's nodes as that
+    level's own search does."""
+
+    def assert_same_as_levels_in_turn(self, w: Word, level_searches: list) -> None:
+        value, path, level_nodes = levels_in_turn(w.letters)
+        del level_searches[:]
+        result = an_exact(w)
+        assert result.value == value, w
+        assert result.witness == acx.complexity._witness_from_path(w, path, value), w
+        assert result.certificate == SearchCertificate(
+            states_ruled_out=value - 1,
+            search_nodes=sum(level_nodes),
+            search_mode="path-induced",
+        ), w
+        if hyde_bound(len(w)) > 1:
+            # the walk's list of each exhausted level's nodes
+            assert level_searches[0][3] == level_nodes, w
+
+    def test_binary_up_to_ten(self, level_searches):
+        for n in range(11):
+            for letters in product((0, 1), repeat=n):
+                self.assert_same_as_levels_in_turn(Word(letters, 2), level_searches)
+
+    def test_ternary_sample_up_to_eight(self, level_searches):
+        words = [l for n in range(9) for l in product(range(3), repeat=n)]
+        for letters in random.Random(17).sample(words, 300):
+            self.assert_same_as_levels_in_turn(Word(letters, 3), level_searches)
+
+    def test_deep_word(self, level_searches):
+        self.assert_same_as_levels_in_turn(W("001111110100110110"), level_searches)
+
+    def test_one_walk_then_hyde_level(self, level_searches):
+        # A_N = 9 < hyde_bound(18) = 10: the walk finds the least witness
+        w = W("001111110100110110")
+        an_exact(w)
+        assert [args[:3] for args in level_searches] == [(w.letters, 1, 9)]
+        del level_searches[:]
+        # A_N = 10 = hyde_bound(18): the walk finds nothing, and level 10
+        # alone gives the least witness
+        w = W("011000110111010111")
+        an_exact(w)
+        assert [args[:3] for args in level_searches] == [(w.letters, 1, 9), (w.letters, 10)]
 
 
 class TestOneProcessPerWord:

@@ -1,18 +1,13 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acx.nfa import (
-    Nfa,
-    accepts_spelling,
-    count_length_n_accepting_paths,
-    to_dot,
-    to_json_dict,
-    uniquely_accepts,
-)
+from acx.complexity import an_exact
+from acx.nfa import Nfa, to_dot, to_json_dict, uniquely_accepts
 from acx.words import Word
-from oracles import count_walks_oracle
+from oracles import accepts_spelling, count_length_n_accepting_paths, count_walks_oracle
 
 W = Word.from_text
 
@@ -141,6 +136,59 @@ class TestUniqueAcceptance:
         assert not uniquely_accepts(m, W("00000", k=5)) or accepts_spelling(
             m, W("00000", k=5)
         )
+
+    def test_matches_the_dynamic_program_binary_up_to_eight(self):
+        # each word's least witness, with one transition dropped, with one
+        # more final state, and read on the words one letter away; and
+        # with one more transition, which may give a second walk or a
+        # second letter on an edge, read on the word itself
+        for n in range(9):
+            for letters in product((0, 1), repeat=n):
+                w = Word(letters, 2)
+                witness = an_exact(w, searches={}).witness
+                states = range(witness.q)
+                for edge in product(states, (0, 1), states):
+                    m = Nfa(q=witness.q, k=2, transitions=witness.transitions | {edge},
+                            finals=witness.finals)
+                    assert uniquely_accepts(m, w) == by_dynamic_program(m, w), (m, w)
+                variants = [witness]
+                variants += [
+                    Nfa(q=witness.q, k=2, transitions=witness.transitions - {edge},
+                        finals=witness.finals)
+                    for edge in witness.transitions
+                ]
+                variants += [
+                    Nfa(q=witness.q, k=2, transitions=witness.transitions,
+                        finals=witness.finals | {f})
+                    for f in range(witness.q)
+                ]
+                neighbours = [w] + [
+                    Word(letters[:i] + (1 - letters[i],) + letters[i + 1:], 2)
+                    for i in range(n)
+                ]
+                for m in variants:
+                    for u in neighbours:
+                        assert uniquely_accepts(m, u) == by_dynamic_program(m, u), (m, u)
+                assert uniquely_accepts(witness, w)
+
+    @given(random_nfas(), st.data())
+    @settings(max_examples=300)
+    def test_matches_the_dynamic_program(self, m, data):
+        letters = data.draw(st.lists(st.integers(0, m.k - 1), max_size=8))
+        w = Word(tuple(letters), m.k)
+        assert uniquely_accepts(m, w) == by_dynamic_program(m, w)
+
+    def test_letter_outside_the_alphabet(self):
+        m = Nfa(q=1, k=1, transitions=frozenset({(0, 0, 0)}), finals=frozenset({0}))
+        with pytest.raises(ValueError, match=r"letter 1 outside the automaton alphabet \[1\]"):
+            uniquely_accepts(m, W("01"))
+
+
+def by_dynamic_program(m: Nfa, w: Word) -> bool:
+    """Unique acceptance as the package first computed it: w is spelled into
+    a final state, and the capped walk-count table has one accepting walk
+    of length |w|."""
+    return accepts_spelling(m, w) and count_length_n_accepting_paths(m, len(w)) == 1
 
 
 def from_json_dict(data: dict) -> Nfa:
