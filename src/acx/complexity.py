@@ -289,7 +289,7 @@ def _search_level(
     letters: Sequence[int],
     lo: int,
     q: Optional[int] = None,
-    levels: Optional[list] = None,
+    levels: Optional[list[int]] = None,
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """The one walk over [lo, q] states: its witness path and its nodes.
 
