@@ -41,25 +41,18 @@ def hyde_bound(n: int) -> int:
 class SearchCertificate:
     """Evidence that every smaller state count was ruled out.
 
-    search_mode ``"path-induced"`` means that every level below the value
-    was ruled out, by one walk or by searches of single levels, and the
-    witness is the least path of the value level.  ``"factor-bracket"``
-    means that in a sweep (see an_exact) a proved bound ruled out some
-    level, or fixed the value, without a search of that level; the witness
-    is then still valid but need not be the least one.
-    ``"branch-and-bound"`` means that one walk below Hyde's bound ruled out
-    every smaller state count at once; its witness need not be the least
-    one either.
+    search_mode ``"path-induced"`` means that one walk from level 1 ruled
+    out every level below the value and produced the witness, or that the
+    value is 1; without a dict, the witness is the least path of the value
+    level.  ``"factor-bracket"`` means that in a sweep (see an_exact) a
+    proved bound ruled out some level, or fixed the value, without a
+    search of that level; the witness is then still valid but need not be
+    the least one.
 
-    search_nodes counts the extensions examined on the ruled out levels
-    that were searched, each as the search of that level alone counts
-    them; levels the bracket ruled out add nothing, and a result read from
-    the word's mirror carries the mirror's count.  The level that produced
-    the witness is not included.  A path-induced result without a dict
-    takes all of its levels from one walk, which counts an extension once
-    for each level whose search would examine it (see
-    _LevelSearch.level_nodes).  A branch-and-bound result counts the whole
-    of its one walk, once per extension and not split by level.
+    search_nodes is the sum, over the levels that were searched and ruled
+    out, of the nodes that the search of that level alone examines (see
+    _LevelSearch.level_nodes); a result read from the word's mirror
+    carries the mirror's count.
     """
 
     states_ruled_out: int
@@ -286,27 +279,21 @@ class _LevelSearch:
 
 
 def _search_level(
-    letters: Sequence[int],
-    lo: int,
-    q: Optional[int] = None,
-    levels: Optional[list[int]] = None,
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """The one walk over [lo, q] states: its witness path and its nodes.
+    letters: Sequence[int], lo: int, q: int
+) -> tuple[Optional[tuple[int, ...]], list[int]]:
+    """The one walk over [lo, q] states: its witness path and exhausted levels.
 
-    q defaults to lo.  With lo = q, the path is the least full path with q
-    states, or None if the level is exhausted.  With lo < q, it is the
-    walk's last witness path, with the fewest states of any path-induced
-    witness with lo to q states, or None if there is none.  A list passed
-    as ``levels`` is extended by the node count of each level from lo up
-    to one below the path's state count (up to q if there is no path), as
-    that level's own search counts it; each of those levels is exhausted.
+    The path is the walk's last witness path, with the fewest states of any
+    path-induced witness with lo to q states, or None if there is none;
+    with lo = q it is the least full path with q states.  The list holds
+    the node count of each level from lo up to one below the path's state
+    count (up to q if there is no path), as that level's own search counts
+    it; each of those levels is exhausted.
     """
-    search = _LevelSearch(letters, lo, lo if q is None else q)
+    search = _LevelSearch(letters, lo, q)
     search._walk(0, 0)
-    if levels is not None:
-        top = search.q if search.best is None else max(search.best)
-        levels.extend(search.level_nodes(s) for s in range(lo, top + 1))
-    return search.best, sum(map(sum, search.counts))
+    top = search.q if search.best is None else max(search.best)
+    return search.best, [search.level_nodes(s) for s in range(lo, top + 1)]
 
 
 def _witness_from_path(word: Word, seq: tuple[int, ...], q: int) -> Nfa:
@@ -335,12 +322,10 @@ def _decide(
 
     ``letters`` are renamed in order of first occurrence and not yet a key
     of ``searches``, so the empty word finds no mirror and no factors.
-    With ``least``, one walk rules out every level below the value and
-    finds the least path of the value level.  Each upper
-    bound's path has one walk of the word's length to its end: a new
-    initial or final state has one edge, so it adds no walk to the path
-    it extends; Hyde's path ends at 0 for odd n and at 1 for even n, so a
-    walk there takes the loop at m an odd number of times, and three
+    Each upper bound's path has one walk of the word's length to its end:
+    a new initial or final state has one edge, so it adds no walk to the
+    path it extends; Hyde's path ends at 0 for odd n and at 1 for even n,
+    so a walk there takes the loop at m an odd number of times, and three
     passes need at least n + 2 steps.
     """
     mirror = searches.get(_renamed_in_order(letters[::-1]))
@@ -359,39 +344,18 @@ def _decide(
             (hyde_bound(n), _hyde_path(n)),
             key=lambda bound: bound[0],
         )
-        # a one-letter word, with lo = hi = 1, still searches level 1, so
-        # its certificate stays path-induced
-        if lo == hi >= 2:
-            return hi, path, 0, "factor-bracket"
-        seq, nodes = _search_level(letters, lo)
-        if seq is not None:
-            # from level 1, every level up to the witness is searched
-            return lo, seq, 0, "path-induced" if lo == 1 else "factor-bracket"
-        if hi > lo:
-            return hi, path, nodes, "factor-bracket"
-    elif least:
-        # the values-only walk of the next branch, which also counts the
-        # nodes of each level it exhausts.  Its bound stays at or above the
-        # value until it finds the least path with that many states, and
-        # never drops below the value minus one.  Hyde's path need not be
-        # the least one, so a word whose walk finds nothing searches
-        # Hyde's level alone
-        q = hyde_bound(n) - 1
-        levels: list[int] = []
-        seq = _search_level(letters, 1, q, levels)[0] if q else None
-        if seq is None:
-            seq = _search_level(letters, q + 1)[0]
-        if seq is not None:
-            return max(seq) + 1, seq, sum(levels), "path-induced"
     else:
-        # Hyde's path is a witness with q + 1 states, so the walk looks for
-        # one with at most q; the words of length 0 and 1 need no walk
-        q = hyde_bound(n) - 1
-        seq, nodes = _search_level(letters, 1, q) if q else (None, 0)
+        lo, hi, path = 1, hyde_bound(n), _hyde_path(n)
+    seq, levels = _search_level(letters, lo, hi - 1) if lo < hi else (None, [])
+    if seq is None and least:
+        # the value is Hyde's bound, and Hyde's path need not be the least
+        seq = _search_level(letters, hi, hi)[0]
         if seq is None:
-            return q + 1, _hyde_path(n), nodes, "branch-and-bound"
-        return max(seq) + 1, seq, nodes, "branch-and-bound"
-    raise RuntimeError(f"no witness with at most {hyde_bound(n)} states, against Hyde's bound")
+            raise RuntimeError(f"no witness with at most {hi} states, against Hyde's bound")
+    if seq is not None:
+        # from level 1, every level below the witness was searched
+        return max(seq) + 1, seq, sum(levels), "path-induced" if lo == 1 else "factor-bracket"
+    return hi, path, sum(levels), "path-induced" if hi == 1 else "factor-bracket"
 
 
 def an_exact(
@@ -407,47 +371,40 @@ def an_exact(
     process.  ``jobs`` raises ValueError below 1 and changes nothing else:
     parallelism is across words, in survey.
 
-    Without ``searches``, the word takes the branch-and-bound walk of the
-    last case below.  Until it finds a path with the value's state count,
-    it looks for one with at least that many, and the first it finds is
-    the lexicographically least canonical state sequence of that count,
-    which is the witness.  If it finds none, the value is Hyde's bound,
-    and that level alone is searched for its least path.  The walk rules
-    out every smaller state count, and the certificate is path-induced:
-    its node count is the sum, over the state counts below the value, of
-    the nodes that the search of that count alone examines, which the walk
-    counts on the way.
     ``searches`` is a dict that the calls of one sweep share.  It maps a
     word's letters, renamed in order of first occurrence, to its value,
     path, nodes and search mode: the search compares letters only for
     equality, so a renaming takes the same path with the same node counts.
-    A word whose key is there takes that outcome.  Any other word is
-    bracketed by what the dict holds, using A_N(u) <= A_N(uv), A_N(ua) <= A_N(u) + 1, A_N(aw) <= A_N(w) + 1,
-    A_N(reverse w) = A_N(w) and Hyde's bound:
+    A word whose key is there takes that outcome, and a word whose
+    reversal, renamed, is there reads that path backwards, with the states
+    renamed in order of first occurrence (A_N(reverse w) = A_N(w)).
 
-    - if the word's reversal, renamed, is there, its path is read
-      backwards, with the states renamed in order of first occurrence;
-    - if both w[:-1] and w[1:] are there, lo = max(A_N(w[:-1]), A_N(w[1:]))
-      and hi is the least of three upper bounds, each attained by a path:
-      A_N(w[:-1]) + 1, by the prefix's path plus one new final state;
-      A_N(w[1:]) + 1, by a new initial state before the suffix's path;
-      and hyde_bound(n), by Hyde's path 0, 1, ..., m, m, m - 1, ... with
-      m = n // 2.  If lo = hi >= 2, the value is hi and no level is
-      searched.  Otherwise level lo alone is searched; if it has no
-      witness, the value is hi, with that bound's path;
-    - otherwise one branch-and-bound walk looks for a witness with fewer
-      than hyde_bound(n) states (see _LevelSearch): each full path it
-      finds, and each path of n - 1 steps plus one new final state, lowers
-      the state count it still looks for.  The value is the state count of
-      its last witness, or hyde_bound(n), with Hyde's path, if it finds
-      none.  Callers that read only the value pass a fresh dict to take
-      this walk.
+    Any other word gets a bracket lo <= A_N(w) <= hi with a path for hi.
+    If both w[:-1] and w[1:] are in the dict, lo = max(A_N(w[:-1]),
+    A_N(w[1:])) and hi is the least of three upper bounds, each attained
+    by a path: A_N(w[:-1]) + 1, by the prefix's path plus one new final
+    state; A_N(w[1:]) + 1, by a new initial state before the suffix's
+    path; and hyde_bound(n), by Hyde's path 0, 1, ..., m, m, m - 1, ...
+    with m = n // 2.  Otherwise lo = 1 and hi = hyde_bound(n) with Hyde's
+    path.  If lo < hi, one walk (see _LevelSearch) looks for a witness
+    with lo to hi - 1 states: each full path it finds, and each path of
+    n - 1 steps plus one new final state, lowers the state count it still
+    looks for.  The value is the state count of its last witness, or hi,
+    with hi's path, if it finds none.  A bracket from the factors has
+    hi <= lo + 1, so its walk is the search of level lo alone.
+
+    Without ``searches``, the bracket is (1, hyde_bound(n)).  Until the
+    walk finds a path with the value's state count, it looks for one with
+    at least that many, so the first it finds is the lexicographically
+    least canonical state sequence of that count, which is the witness.
+    If it finds none, Hyde's level alone is searched for its least path.
 
     The witness is always built from the word's own letters and re-checked,
-    and the value equals the one without a dict.  A ``"factor-bracket"`` or
-    ``"branch-and-bound"`` result may have a witness other than the least
-    one.  A sweep in order of length finds every word's factors.  Pass a
-    fresh dict per sweep, so that it is freed when the sweep returns.
+    and the value equals the one without a dict.  A ``"factor-bracket"``
+    result may have a witness other than the least one.  A sweep in order
+    of length finds every word's factors; callers that read only the value
+    pass a fresh dict.  Pass a fresh dict per sweep, so that it is freed
+    when the sweep returns.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

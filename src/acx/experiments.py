@@ -278,8 +278,8 @@ def survey(
     values are aggregated by index.  The words of one chunk, or of the
     whole stream when there is one worker, share one an_exact sweep dict,
     so a word renamed or reversed from an earlier one takes its value, and
-    any other word is decided by one branch-and-bound walk below Hyde's
-    bound.  A value does not depend on the dict.
+    any other word is decided by one walk below Hyde's bound.  A value
+    does not depend on the dict.
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")

@@ -115,12 +115,18 @@ class TestAnExact:
 
     def test_no_witness_is_a_fault_not_a_domain_error(self, monkeypatch):
         # Hyde's bound guarantees a witness, so a search without one is broken
-        monkeypatch.setattr(
-            acx.complexity, "_search_level", lambda letters, lo, q=None, levels=None: (None, 0)
-        )
+        monkeypatch.setattr(acx.complexity, "_search_level", lambda letters, lo, q: (None, []))
         with pytest.raises(RuntimeError, match="Hyde") as caught:
             an_exact(W("0110"))
         assert not isinstance(caught.value, ValueError)
+
+    def test_bad_witness_is_caught_by_the_recheck(self, monkeypatch):
+        # a witness read from the dict (a mirror, prefix, suffix or Hyde
+        # path) is not searched, so only the re-check guards it: the loops
+        # 0 -0-> 0 and 0 -1-> 0 read 0110 along 16 walks
+        monkeypatch.setattr(acx.complexity, "_hyde_path", lambda n: (0,) * (n + 1))
+        with pytest.raises(RuntimeError, match="bad witness"):
+            an_exact(W("0110"), searches={})
 
     def test_path_induced_equals_full_enumeration_small(self, minima):
         for n in range(5):
@@ -240,10 +246,10 @@ def levels_in_turn(letters: tuple[int, ...]):
     least path, and the node count of each exhausted level below it."""
     level_nodes = []
     for q in range(1, hyde_bound(len(letters)) + 1):
-        path, nodes = acx.complexity._search_level(letters, q)
+        path, levels = acx.complexity._search_level(letters, q, q)
         if path is not None:
             return q, path, level_nodes
-        level_nodes.append(nodes)
+        level_nodes += levels
     raise AssertionError(f"no witness for {letters} at Hyde's bound")
 
 
@@ -254,9 +260,24 @@ class TestOneLeastWalk:
     in turn, and the walk counts each exhausted level's nodes as that
     level's own search does."""
 
-    def assert_same_as_levels_in_turn(self, w: Word, level_searches: list) -> None:
+    @pytest.fixture
+    def exhausted(self, monkeypatch):
+        """The exhausted levels' nodes of every _search_level call made
+        while the test runs."""
+        lists = []
+        search_level = acx.complexity._search_level
+
+        def recording(*args):
+            path, levels = search_level(*args)
+            lists.append(levels)
+            return path, levels
+
+        monkeypatch.setattr(acx.complexity, "_search_level", recording)
+        return lists
+
+    def assert_same_as_levels_in_turn(self, w: Word, exhausted: list) -> None:
         value, path, level_nodes = levels_in_turn(w.letters)
-        del level_searches[:]
+        del exhausted[:]
         result = an_exact(w)
         assert result.value == value, w
         assert result.witness == acx.complexity._witness_from_path(w, path, value), w
@@ -267,32 +288,32 @@ class TestOneLeastWalk:
         ), w
         if hyde_bound(len(w)) > 1:
             # the walk's list of each exhausted level's nodes
-            assert level_searches[0][3] == level_nodes, w
+            assert exhausted[0] == level_nodes, w
 
-    def test_binary_up_to_ten(self, level_searches):
+    def test_binary_up_to_ten(self, exhausted):
         for n in range(11):
             for letters in product((0, 1), repeat=n):
-                self.assert_same_as_levels_in_turn(Word(letters, 2), level_searches)
+                self.assert_same_as_levels_in_turn(Word(letters, 2), exhausted)
 
-    def test_ternary_sample_up_to_eight(self, level_searches):
+    def test_ternary_sample_up_to_eight(self, exhausted):
         words = [l for n in range(9) for l in product(range(3), repeat=n)]
         for letters in random.Random(17).sample(words, 300):
-            self.assert_same_as_levels_in_turn(Word(letters, 3), level_searches)
+            self.assert_same_as_levels_in_turn(Word(letters, 3), exhausted)
 
-    def test_deep_word(self, level_searches):
-        self.assert_same_as_levels_in_turn(W("001111110100110110"), level_searches)
+    def test_deep_word(self, exhausted):
+        self.assert_same_as_levels_in_turn(W("001111110100110110"), exhausted)
 
     def test_one_walk_then_hyde_level(self, level_searches):
         # A_N = 9 < hyde_bound(18) = 10: the walk finds the least witness
         w = W("001111110100110110")
         an_exact(w)
-        assert [args[:3] for args in level_searches] == [(w.letters, 1, 9)]
+        assert level_searches == [(w.letters, 1, 9)]
         del level_searches[:]
         # A_N = 10 = hyde_bound(18): the walk finds nothing, and level 10
         # alone gives the least witness
         w = W("011000110111010111")
         an_exact(w)
-        assert [args[:3] for args in level_searches] == [(w.letters, 1, 9), (w.letters, 10)]
+        assert level_searches == [(w.letters, 1, 9), (w.letters, 10, 10)]
 
 
 class TestOneProcessPerWord:
@@ -389,17 +410,17 @@ class TestSharedSearch:
             if result.certificate.search_mode == "path-induced":
                 assert result == unshared[w], w
             else:
-                assert result.certificate.search_mode in ("factor-bracket", "branch-and-bound"), w
+                assert result.certificate.search_mode == "factor-bracket", w
         assert len(shared) == searches
 
     def test_sharing_lasts_one_sweep(self, level_searches):
         # all 1093 ternary words up to length 6, bracketed by their factors;
-        # the empty word, first in the sweep, takes Hyde's path with no walk
-        # (82 level searches before, with one for the empty word)
+        # the empty word and the one-letter words have hyde_bound(n) = 1, so
+        # they take Hyde's path with no walk
         assert acx.experiments.sandwich_check(6).ok
-        assert len(level_searches) == 81
+        assert len(level_searches) == 80
         assert acx.experiments.sandwich_check(6).ok
-        assert len(level_searches) == 2 * 81
+        assert len(level_searches) == 2 * 80
         del level_searches[:]
         acx.modular.exact_values_binary(8, {})
         # a fresh dict holds no factors of length 7, so each of the 72
@@ -409,7 +430,7 @@ class TestSharedSearch:
         # one dict across all lengths: every word of length n >= 1 finds
         # both its factors
         acx.modular.table_best_bound(6, 8)
-        assert len(level_searches) == 94
+        assert len(level_searches) == 93
 
 
 class TestFactorBracket:
@@ -499,7 +520,7 @@ class TestFactorBracket:
         # A_N(011) = A_N(110) = 2 and hyde_bound(4) = 3: level 2 alone is
         # searched, is exhausted, and the value is 3
         result = an_exact(W("0110"), searches=shared)
-        level_2_nodes = acx.complexity._search_level((0, 1, 1, 0), 2)[1]
+        (level_2_nodes,) = acx.complexity._search_level((0, 1, 1, 0), 2, 2)[1]
         assert result.certificate == SearchCertificate(
             states_ruled_out=2, search_nodes=level_2_nodes, search_mode="factor-bracket"
         )
@@ -510,17 +531,16 @@ class TestFactorBracket:
             q=3, k=2, transitions=prefix.transitions | {(end, 0, 2)}, finals={2}
         )
 
-    def test_missing_prefix_bypasses_the_bracket(self):
+    def test_missing_prefix_bypasses_the_bracket(self, level_searches):
         shared: dict = {}
         # the suffix 110 (renamed 001) is there, the prefix 011 is not, so
-        # one bounded walk below Hyde's bound decides the word
+        # the word has the bracket (1, hyde_bound(4)) of a fresh dict
         an_exact(W("001"), searches=shared)
+        del level_searches[:]
         result = an_exact(W("0110"), searches=shared)
-        unshared = an_exact(W("0110"))
-        assert result.value == unshared.value == 3
-        walk_nodes = acx.complexity._search_level((0, 1, 1, 0), 1, 2)[1]
-        assert result.certificate.search_nodes == walk_nodes
-        assert result.certificate.search_mode == "branch-and-bound"
+        assert level_searches == [((0, 1, 1, 0), 1, 2)]
+        assert result.value == 3
+        assert_agrees_without_a_dict(W("0110"), result)
 
     def test_mirror_witness(self):
         shared: dict = {}
@@ -538,11 +558,32 @@ class TestFactorBracket:
         assert result.witness != an_exact(W("0010")).witness
 
 
+def assert_agrees_without_a_dict(w: Word, result) -> None:
+    """``result``, decided with the bracket (1, hyde_bound(n)), against the
+    call without a dict: the same result below Hyde's bound, and at it the
+    same value and nodes with Hyde's path, which need not be the least."""
+    unshared = an_exact(w)
+    n = len(w)
+    if unshared.value < hyde_bound(n) or unshared.value == 1:
+        assert result == unshared, w
+        return
+    assert result.value == unshared.value, w
+    assert result.witness == acx.complexity._witness_from_path(
+        w, acx.complexity._hyde_path(n), result.value
+    ), w
+    assert result.certificate == SearchCertificate(
+        states_ruled_out=result.value - 1,
+        search_nodes=unshared.certificate.search_nodes,
+        search_mode="factor-bracket",
+    ), w
+
+
 class TestValuesOnlySweep:
-    """A word that a sweep dict cannot bracket is decided by one bounded
-    walk below Hyde's bound: a full path lowers the bound to one state
-    below its own count, and a path of n - 1 steps with m + 1 states to
-    m + 1, since it plus one new final state is a witness."""
+    """A word that a sweep dict cannot bracket, such as any word of a fresh
+    dict, has the bracket (1, hyde_bound(n)) and takes the walk of a call
+    without a dict: a full path lowers the bound to one state below its
+    own count, and a path of n - 1 steps with m + 1 states to m + 1, since
+    it plus one new final state is a witness."""
 
     @given(
         st.integers(2, 3).flatmap(
@@ -553,17 +594,13 @@ class TestValuesOnlySweep:
     def test_same_value_and_exhausted_levels(self, word):
         k, letters = word
         w = Word(tuple(letters), k)
-        result = an_exact(w, searches={})
-        unshared = an_exact(w)
-        assert result.value == unshared.value
-        assert result.certificate.states_ruled_out == unshared.certificate.states_ruled_out
-        top = hyde_bound(len(w)) - 1
-        key = acx.complexity._renamed_in_order(w.letters)
-        walk_nodes = acx.complexity._search_level(key, 1, top)[1] if top else 0
-        assert result.certificate.search_nodes == walk_nodes
-        assert result.witness.q == result.value
-        assert uniquely_accepts(result.witness, w)
-        assert result.certificate.search_mode == "branch-and-bound"
+        assert_agrees_without_a_dict(w, an_exact(w, searches={}))
+
+    def test_binary_up_to_ten(self):
+        for n in range(11):
+            for letters in product((0, 1), repeat=n):
+                w = Word(letters, 2)
+                assert_agrees_without_a_dict(w, an_exact(w, searches={}))
 
     def test_hyde_case(self, level_searches):
         w = W("0110")
@@ -574,28 +611,20 @@ class TestValuesOnlySweep:
         path = acx.complexity._hyde_path(4)
         assert result.witness == acx.complexity._witness_from_path(w, path, 3)
         assert uniquely_accepts(result.witness, w)
-        assert result.certificate == SearchCertificate(
-            states_ruled_out=2,
-            search_nodes=acx.complexity._search_level((0, 1, 1, 0), 1, 2)[1],
-            search_mode="branch-and-bound",
-        )
+        assert_agrees_without_a_dict(w, result)
 
     def test_prefix_case(self, level_searches):
         # level 1 cuts 0001 at its last letter, but the loop 0 -0-> 0 reads
         # 000 with one walk; a new final state after it reads 0001
-        assert acx.complexity._search_level((0, 0, 0, 1), 1)[0] is None
+        assert acx.complexity._search_level((0, 0, 0, 1), 1, 1)[0] is None
         del level_searches[:]
         result = an_exact(W("0001"), searches={})
         assert level_searches == [((0, 0, 0, 1), 1, 2)]
         assert result.value == 2 < hyde_bound(4)
         assert result.witness == Nfa(q=2, k=2, transitions={(0, 0, 0), (0, 1, 1)}, finals={1})
         assert uniquely_accepts(result.witness, W("0001"))
-        # the walk stops at the cut of the last letter, as level 1 did
-        assert result.certificate == SearchCertificate(
-            states_ruled_out=1,
-            search_nodes=an_exact(W("0001")).certificate.search_nodes,
-            search_mode="branch-and-bound",
-        )
+        assert result.certificate.search_mode == "path-induced"
+        assert_agrees_without_a_dict(W("0001"), result)
 
 
 class TestBoundedWalk:
@@ -603,30 +632,32 @@ class TestBoundedWalk:
     and the cases at its edges."""
 
     def test_node_counts(self, monkeypatch):
-        nodes = []
-        search_level = acx.complexity._search_level
+        walks = []
+        init = acx.complexity._LevelSearch.__init__
 
-        def counting(*args):
-            path, count = search_level(*args)
-            nodes.append(count)
-            return path, count
+        def recording(self, *args):
+            init(self, *args)
+            walks.append(self)
 
-        monkeypatch.setattr(acx.complexity, "_search_level", counting)
+        def nodes():
+            return sum(sum(map(sum, walk.counts)) for walk in walks)
+
+        monkeypatch.setattr(acx.complexity._LevelSearch, "__init__", recording)
         acx.modular.exact_values_binary(8, {})
         # one walk per class; the level-by-level search made 266 walks of
         # 20,956 nodes in all
-        assert (len(nodes), sum(nodes)) == (72, 15613)
-        assert sum(nodes) < 20956
-        del nodes[:]
+        assert (len(walks), nodes()) == (72, 15613)
+        assert nodes() < 20956
+        del walks[:]
         acx.experiments.survey(n=12, samples=200, seed=5, epsilon=Fraction(1, 3), k=3)
         # level by level: 1190 walks of 658,446 nodes in all
-        assert (len(nodes), sum(nodes)) == (200, 450711)
-        assert sum(nodes) < 658446
+        assert (len(walks), nodes()) == (200, 450711)
+        assert nodes() < 658446
 
     @pytest.mark.parametrize("text", ["", "0", "1"])
     def test_no_walk_below_one_state(self, level_searches, text):
-        # hyde_bound(n) = 1 for n <= 1, so the walk would look for a
-        # witness with no states; Hyde's path is the witness
+        # hyde_bound(n) = 1 for n <= 1, so the bracket is (1, 1); Hyde's
+        # path is the witness
         w = W(text, k=2)
         result = an_exact(w, searches={})
         assert level_searches == []
@@ -635,9 +666,7 @@ class TestBoundedWalk:
             w, acx.complexity._hyde_path(len(w)), 1
         )
         assert uniquely_accepts(result.witness, w)
-        assert result.certificate == SearchCertificate(
-            states_ruled_out=0, search_nodes=0, search_mode="branch-and-bound"
-        )
+        assert_agrees_without_a_dict(w, result)
 
     def test_full_path_above_the_value_lowers_the_bound(self, monkeypatch):
         # the first full path of 0010101010 has 5 states, below
