@@ -11,11 +11,11 @@ small sizes.
 
 Canonical numbering removes the relabeling symmetry: the path starts at
 state 0 and each newly visited state takes the smallest unused index.
-Candidates are enumerated depth first in lexicographic order of the state
-sequence, and a prefix is cut as soon as the committed transitions admit
-two walks of the prefix length into the current state, because any such
-duplicate extends along the committed path suffix into a second accepting
-walk.  All comparisons are exact integer arithmetic.
+Candidates are enumerated depth first, in lexicographic order of the state
+sequence when the least witness is wanted, and a prefix is cut as soon as
+the committed transitions admit two walks of the prefix length into the
+current state, because any such duplicate extends along the committed
+path suffix into a second accepting walk.  All comparisons are exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -44,15 +44,16 @@ class SearchCertificate:
     search_mode ``"path-induced"`` means that one walk from level 1 ruled
     out every level below the value and produced the witness, or that the
     value is 1; without a dict, the witness is the least path of the value
-    level.  ``"factor-bracket"`` means that in a sweep (see an_exact) a
-    proved bound ruled out some level, or fixed the value, without a
-    search of that level; the witness is then still valid but need not be
-    the least one.
+    level, and with one it may be another path of that level, found by a
+    walk that tries new states first.  ``"factor-bracket"`` means that in
+    a sweep (see an_exact) a proved bound ruled out some level, or fixed
+    the value, without a search of that level; the witness is then still
+    valid but need not be the least one.
 
     search_nodes is the sum, over the levels that were searched and ruled
     out, of the nodes that the search of that level alone examines (see
-    _LevelSearch.level_nodes); a result read from the word's mirror
-    carries the mirror's count.
+    _LevelSearch.level_nodes), whatever order the walk tried its targets
+    in; a result read from the word's mirror carries the mirror's count.
     """
 
     states_ruled_out: int
@@ -105,34 +106,38 @@ class _LevelSearch:
     make, so the prune stays exact.
 
     The search runs in the calling process, as one depth-first walk over
-    the window [lo, q] of state counts.  It prunes every target >= q and
-    every path that can no longer use lo states, and it stops at its first
-    full path with lo states.  A full path with m + 1 > lo states is kept
-    as ``best`` and sets q = m, so the walk goes on for a witness with
-    fewer states.  A path of n - 1 steps with m + 1 states uniquely accepts
-    the word without its last letter, so it plus one new final state m + 1
-    is a witness with m + 2 states; it is kept as ``best``, and q drops to
-    m + 1, when that is below q and not below lo.  With lo = q, q never
+    the window [lo, q] of state counts.  A ``least`` walk tries targets in
+    increasing order; any other tries the new state first, then the
+    existing states from the highest down, so that q drops sooner (see
+    _walk).  It prunes every target >= q and every path that can no longer
+    use lo states, and it stops at its first full path with lo states.  A
+    full path with m + 1 > lo states is kept as ``best`` and sets q = m,
+    so the walk goes on for a witness with fewer states.  A path of n - 1
+    steps with m + 1 states uniquely accepts the word without its last
+    letter, so it plus one new final state m + 1 is a witness with m + 2
+    states; it is kept as ``best``, and q drops to m + 1, when that is
+    below q and not below lo.  With lo = q, q never
     moves, and the walk is one level's search.  When the walk ends without
     a full path of lo states, ``best`` has q + 1 states, and every
     candidate with at most q states has been ruled out.
 
     ``counts[d][m]`` is the number of extensions examined from depth d
     whose path then has largest state m.  Which are cut does not depend
-    on the window, so these counts also give the nodes of each exhausted
-    level's own search (level_nodes).
+    on the window or on the order, so these counts also give the nodes of
+    each exhausted level's own search (level_nodes).
     """
 
     __slots__ = (
         "letters", "n", "lo", "q", "labels", "out_any", "out_multi", "in_any",
-        "rows", "path", "counts", "best",
+        "rows", "path", "counts", "best", "least",
     )
 
-    def __init__(self, letters: Sequence[int], lo: int, q: int):
+    def __init__(self, letters: Sequence[int], lo: int, q: int, least: bool):
         self.letters = tuple(letters)
         self.n = len(letters)
         self.lo = lo
         self.q = q
+        self.least = least
         self.labels = [[0] * q for _ in range(q)]
         self.out_any = [0] * q
         self.out_multi = [0] * q
@@ -227,10 +232,14 @@ class _LevelSearch:
         self._relabel(source, target, old)
 
     def _walk(self, depth: int, max_state: int) -> bool:
-        """Extend the path depth first, in lexicographic order of targets.
+        """Extend the path depth first.
 
-        Returns True once a full path with lo states ends the walk.  The
-        extension into the endpoint already ruled out a second walk there.
+        A least walk tries targets in increasing order, so it meets full
+        paths in lexicographic order.  Any other walk tries the new state
+        first and then the existing states from the highest down, which
+        reaches a full path sooner.  Returns True once a full path with lo
+        states ends the walk.  The extension into the endpoint already
+        ruled out a second walk there.
         """
         remaining = self.n - depth - 1
         if remaining <= 0:
@@ -246,10 +255,14 @@ class _LevelSearch:
         # a target below floor leaves too few steps to use all lo states
         floor = self.lo - 1 - remaining
         counts = self.counts[depth]
-        for target in range(max_state + 2):
+        if self.least:
+            targets = range(max_state + 2)
+        else:
+            targets = range(max_state + 1, -1, -1)
+        for target in targets:
             new_max = max_state if target <= max_state else target
             if new_max >= self.q:
-                break
+                continue
             if new_max < floor:
                 continue
             counts[new_max] += 1
@@ -279,18 +292,20 @@ class _LevelSearch:
 
 
 def _search_level(
-    letters: Sequence[int], lo: int, q: int
+    letters: Sequence[int], lo: int, q: int, least: bool
 ) -> tuple[Optional[tuple[int, ...]], list[int]]:
     """The one walk over [lo, q] states: its witness path and exhausted levels.
 
     The path is the walk's last witness path, with the fewest states of any
     path-induced witness with lo to q states, or None if there is none;
-    with lo = q it is the least full path with q states.  The list holds
-    the node count of each level from lo up to one below the path's state
-    count (up to q if there is no path), as that level's own search counts
-    it; each of those levels is exhausted.
+    with lo = q and ``least`` it is the least full path with q states.
+    Without ``least`` the walk tries new states first (see
+    _LevelSearch._walk), and its path need not be the least.  The list
+    holds the node count of each level from lo up to one below the path's
+    state count (up to q if there is no path), as that level's own search
+    counts it; each of those levels is exhausted, whatever the order.
     """
-    search = _LevelSearch(letters, lo, q)
+    search = _LevelSearch(letters, lo, q, least)
     search._walk(0, 0)
     top = search.q if search.best is None else max(search.best)
     return search.best, [search.level_nodes(s) for s in range(lo, top + 1)]
@@ -346,10 +361,10 @@ def _decide(
         )
     else:
         lo, hi, path = 1, hyde_bound(n), _hyde_path(n)
-    seq, levels = _search_level(letters, lo, hi - 1) if lo < hi else (None, [])
+    seq, levels = _search_level(letters, lo, hi - 1, least) if lo < hi else (None, [])
     if seq is None and least:
         # the value is Hyde's bound, and Hyde's path need not be the least
-        seq = _search_level(letters, hi, hi)[0]
+        seq = _search_level(letters, hi, hi, least)[0]
         if seq is None:
             raise RuntimeError(f"no witness with at most {hi} states, against Hyde's bound")
     if seq is not None:
@@ -393,15 +408,19 @@ def an_exact(
     with hi's path, if it finds none.  A bracket from the factors has
     hi <= lo + 1, so its walk is the search of level lo alone.
 
-    Without ``searches``, the bracket is (1, hyde_bound(n)).  Until the
-    walk finds a path with the value's state count, it looks for one with
-    at least that many, so the first it finds is the lexicographically
-    least canonical state sequence of that count, which is the witness.
-    If it finds none, Hyde's level alone is searched for its least path.
+    Without ``searches``, the bracket is (1, hyde_bound(n)), and the walk
+    tries targets in lexicographic order.  Until it finds a path with the
+    value's state count, it looks for one with at least that many, so the
+    first it finds is the lexicographically least canonical state sequence
+    of that count, which is the witness.  If it finds none, Hyde's level
+    alone is searched for its least path.  With ``searches``, the walk
+    tries the new state first (see _LevelSearch._walk), which reaches a
+    witness sooner; it exhausts the same levels with the same node counts.
 
     The witness is always built from the word's own letters and re-checked,
-    and the value equals the one without a dict.  A ``"factor-bracket"``
-    result may have a witness other than the least one.  A sweep in order
+    and the value and certificate of a ``"path-induced"`` result equal the
+    ones without a dict.  A result with a dict may have a witness other
+    than the least one.  A sweep in order
     of length finds every word's factors; callers that read only the value
     pass a fresh dict.  Pass a fresh dict per sweep, so that it is freed
     when the sweep returns.

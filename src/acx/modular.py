@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .complexity import an_exact
@@ -291,17 +290,40 @@ def table_best_bound(c_max: int, n_max: int) -> list[list[Optional[int]]]:
     ]
     searches: dict = {}
     for n in range(n_max + 1):
-        values = exact_values_binary(n, searches)
-        falling = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-        for c in range(min(c_max, n) + 1):
-            worst = 0
-            for positions in combinations(range(n), c):
-                posmask = sum(1 << p for p in positions)
-                # the last value stored under a key is its group's least
-                group_min = {index & posmask: values[index] for index in falling}
-                worst = max(worst, max(group_min.values()))
-            table[c][n] = worst
+        worst = _max_subcube_minima(exact_values_binary(n, searches), c_max)
+        for c, value in enumerate(worst):
+            table[c][n] = value
     return table
+
+
+def _max_subcube_minima(values: list[int], c_max: int) -> list[int]:
+    """Entry c: the largest minimum of ``values`` over a subcube with c fixed bits.
+
+    ``values`` has 2^n entries indexed by bitmask; a subcube fixes c of the
+    n bits and leaves the others free.  Entries run over c = 0, ...,
+    min(c_max, n).  One depth-first pass frees one bit at a time: the
+    minima over a set S of free bits, one per setting of the fixed bits,
+    come from those over S minus its highest bit by a pairwise min.  The
+    pass takes fewer than 3^n mins, and the arrays on its stack, one per
+    free bit, hold fewer than 2^(n + 1) entries in all.
+    """
+    n = len(values).bit_length() - 1
+    worst = [0] * (min(c_max, n) + 1)
+
+    def visit(minima: list[int], first: int, fixed: int) -> None:
+        if fixed <= c_max:
+            worst[fixed] = max(worst[fixed], max(minima))
+        # free each fixed bit j >= first, renumbered among the fixed bits
+        for j in range(first, fixed):
+            half = 1 << j
+            freed: list[int] = []
+            for start in range(0, len(minima), 2 * half):
+                middle = start + half
+                freed += map(min, minima[start:middle], minima[middle : middle + half])
+            visit(freed, j, fixed - 1)
+
+    visit(values, 0, n)
+    return worst
 
 
 def format_table(table: list[list[Optional[int]]]) -> str:

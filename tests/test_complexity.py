@@ -24,7 +24,12 @@ from acx.complexity import (
 from acx.experiments import worker_count
 from acx.nfa import Nfa, uniquely_accepts
 from acx.words import Word
-from oracles import count_walks_oracle, path_induced_oracle
+from oracles import (
+    accepts_spelling,
+    count_length_n_accepting_paths,
+    count_walks_oracle,
+    path_induced_oracle,
+)
 
 W = Word.from_text
 
@@ -115,7 +120,9 @@ class TestAnExact:
 
     def test_no_witness_is_a_fault_not_a_domain_error(self, monkeypatch):
         # Hyde's bound guarantees a witness, so a search without one is broken
-        monkeypatch.setattr(acx.complexity, "_search_level", lambda letters, lo, q: (None, []))
+        monkeypatch.setattr(
+            acx.complexity, "_search_level", lambda letters, lo, q, least: (None, [])
+        )
         with pytest.raises(RuntimeError, match="Hyde") as caught:
             an_exact(W("0110"))
         assert not isinstance(caught.value, ValueError)
@@ -246,7 +253,7 @@ def levels_in_turn(letters: tuple[int, ...]):
     least path, and the node count of each exhausted level below it."""
     level_nodes = []
     for q in range(1, hyde_bound(len(letters)) + 1):
-        path, levels = acx.complexity._search_level(letters, q, q)
+        path, levels = acx.complexity._search_level(letters, q, q, True)
         if path is not None:
             return q, path, level_nodes
         level_nodes += levels
@@ -304,16 +311,17 @@ class TestOneLeastWalk:
         self.assert_same_as_levels_in_turn(W("001111110100110110"), exhausted)
 
     def test_one_walk_then_hyde_level(self, level_searches):
-        # A_N = 9 < hyde_bound(18) = 10: the walk finds the least witness
+        # A_N = 9 < hyde_bound(18) = 10: the least walk finds the least
+        # witness
         w = W("001111110100110110")
         an_exact(w)
-        assert level_searches == [(w.letters, 1, 9)]
+        assert level_searches == [(w.letters, 1, 9, True)]
         del level_searches[:]
         # A_N = 10 = hyde_bound(18): the walk finds nothing, and level 10
         # alone gives the least witness
         w = W("011000110111010111")
         an_exact(w)
-        assert level_searches == [(w.letters, 1, 9), (w.letters, 10, 10)]
+        assert level_searches == [(w.letters, 1, 9, True), (w.letters, 10, 10, True)]
 
 
 class TestOneProcessPerWord:
@@ -395,8 +403,8 @@ def renamed_states(nfa: Nfa, other: Nfa) -> bool:
 class TestSharedSearch:
     """One dict entry per renaming class of letters within a sweep.  The
     values equal the unshared search's; the factor bracket may give
-    another valid witness, so only a path-induced result has the
-    unshared one."""
+    another valid witness, so only a path-induced result, whose walk
+    searched one state alone, has the unshared one."""
 
     @pytest.mark.parametrize("k, n_max, searches", SWEEPS)
     def test_same_results_one_search_per_class(self, unshared, k, n_max, searches):
@@ -520,7 +528,7 @@ class TestFactorBracket:
         # A_N(011) = A_N(110) = 2 and hyde_bound(4) = 3: level 2 alone is
         # searched, is exhausted, and the value is 3
         result = an_exact(W("0110"), searches=shared)
-        (level_2_nodes,) = acx.complexity._search_level((0, 1, 1, 0), 2, 2)[1]
+        (level_2_nodes,) = acx.complexity._search_level((0, 1, 1, 0), 2, 2, False)[1]
         assert result.certificate == SearchCertificate(
             states_ruled_out=2, search_nodes=level_2_nodes, search_mode="factor-bracket"
         )
@@ -538,7 +546,7 @@ class TestFactorBracket:
         an_exact(W("001"), searches=shared)
         del level_searches[:]
         result = an_exact(W("0110"), searches=shared)
-        assert level_searches == [((0, 1, 1, 0), 1, 2)]
+        assert level_searches == [((0, 1, 1, 0), 1, 2, False)]
         assert result.value == 3
         assert_agrees_without_a_dict(W("0110"), result)
 
@@ -560,12 +568,19 @@ class TestFactorBracket:
 
 def assert_agrees_without_a_dict(w: Word, result) -> None:
     """``result``, decided with the bracket (1, hyde_bound(n)), against the
-    call without a dict: the same result below Hyde's bound, and at it the
-    same value and nodes with Hyde's path, which need not be the least."""
+    call without a dict: the same value and certificate below Hyde's bound,
+    with a witness that the naive oracles accept, and at it the same value
+    and nodes with Hyde's path, which need not be the least."""
     unshared = an_exact(w)
     n = len(w)
     if unshared.value < hyde_bound(n) or unshared.value == 1:
-        assert result == unshared, w
+        assert result.value == unshared.value, w
+        assert result.certificate == unshared.certificate, w
+        # the walk tries new states first, so its witness need not be the
+        # least; the oracles check it without the library's re-check
+        assert result.witness.q == result.value, w
+        assert accepts_spelling(result.witness, w), w
+        assert count_length_n_accepting_paths(result.witness, n) == 1, w
         return
     assert result.value == unshared.value, w
     assert result.witness == acx.complexity._witness_from_path(
@@ -606,7 +621,7 @@ class TestValuesOnlySweep:
         w = W("0110")
         result = an_exact(w, searches={})
         # the walk below hyde_bound(4) = 3 finds no witness with 2 states
-        assert level_searches == [((0, 1, 1, 0), 1, 2)]
+        assert level_searches == [((0, 1, 1, 0), 1, 2, False)]
         assert result.value == hyde_bound(4) == 3
         path = acx.complexity._hyde_path(4)
         assert result.witness == acx.complexity._witness_from_path(w, path, 3)
@@ -616,10 +631,10 @@ class TestValuesOnlySweep:
     def test_prefix_case(self, level_searches):
         # level 1 cuts 0001 at its last letter, but the loop 0 -0-> 0 reads
         # 000 with one walk; a new final state after it reads 0001
-        assert acx.complexity._search_level((0, 0, 0, 1), 1, 1)[0] is None
+        assert acx.complexity._search_level((0, 0, 0, 1), 1, 1, False)[0] is None
         del level_searches[:]
         result = an_exact(W("0001"), searches={})
-        assert level_searches == [((0, 0, 0, 1), 1, 2)]
+        assert level_searches == [((0, 0, 0, 1), 1, 2, False)]
         assert result.value == 2 < hyde_bound(4)
         assert result.witness == Nfa(q=2, k=2, transitions={(0, 0, 0), (0, 1, 1)}, finals={1})
         assert uniquely_accepts(result.witness, W("0001"))
@@ -645,14 +660,52 @@ class TestBoundedWalk:
         monkeypatch.setattr(acx.complexity._LevelSearch, "__init__", recording)
         acx.modular.exact_values_binary(8, {})
         # one walk per class; the level-by-level search made 266 walks of
-        # 20,956 nodes in all
-        assert (len(walks), nodes()) == (72, 15613)
-        assert nodes() < 20956
+        # 20,956 nodes in all, and the walk in lexicographic order 15,613
+        assert (len(walks), nodes()) == (72, 12193)
+        assert nodes() < 15613 < 20956
         del walks[:]
         acx.experiments.survey(n=12, samples=200, seed=5, epsilon=Fraction(1, 3), k=3)
-        # level by level: 1190 walks of 658,446 nodes in all
-        assert (len(walks), nodes()) == (200, 450711)
-        assert nodes() < 658446
+        # level by level: 1190 walks of 658,446 nodes in all; in
+        # lexicographic order, 450,711
+        assert (len(walks), nodes()) == (200, 417654)
+        assert nodes() < 450711 < 658446
+        del walks[:]
+        # in the sweeps each walk searches one level, and trying new states
+        # first reaches its first full path sooner; in lexicographic order
+        # they took 4,460 and 14,448 nodes
+        acx.experiments.sandwich_check(6)
+        assert (len(walks), nodes()) == (80, 4044)
+        assert nodes() < 4460
+        del walks[:]
+        acx.modular.table_best_bound(6, 8)
+        assert (len(walks), nodes()) == (93, 9692)
+        assert nodes() < 14448
+
+    def test_new_state_first_without_the_least_witness(self, monkeypatch):
+        # from each node, a least walk tries targets in increasing order;
+        # any other walk tries the new state first, then the existing
+        # states from the highest down
+        extend = acx.complexity._LevelSearch._extend
+        tried = {}
+
+        def recording(self, depth, target):
+            tried.setdefault((self.least, tuple(self.path)), []).append(target)
+            return extend(self, depth, target)
+
+        monkeypatch.setattr(acx.complexity._LevelSearch, "_extend", recording)
+        w = W("001111110100110110")
+        assert an_exact(w, searches={}).value == an_exact(w).value == 9
+        for least in (True, False):
+            orders = [targets for (flag, _), targets in tried.items() if flag is least]
+            assert len(orders) > 1000
+            for targets in orders:
+                assert targets == sorted(targets, reverse=not least)
+        # the new state is tried first wherever it is tried
+        assert all(
+            targets[0] == max(path) + 1
+            for (least, path), targets in tried.items()
+            if not least and max(path) + 1 in targets
+        )
 
     @pytest.mark.parametrize("text", ["", "0", "1"])
     def test_no_walk_below_one_state(self, level_searches, text):
@@ -669,8 +722,8 @@ class TestBoundedWalk:
         assert_agrees_without_a_dict(w, result)
 
     def test_full_path_above_the_value_lowers_the_bound(self, monkeypatch):
-        # the first full path of 0010101010 has 5 states, below
-        # hyde_bound(10) = 6; the walk goes on and finds one with 3
+        # the least walk's first full path of 0010101010 has 5 states,
+        # below hyde_bound(10) = 6; the walk goes on and finds one with 3
         walk = acx.complexity._LevelSearch._walk
         full_paths = []
 
@@ -681,9 +734,9 @@ class TestBoundedWalk:
 
         monkeypatch.setattr(acx.complexity._LevelSearch, "_walk", recording)
         w = W("0010101010")
-        result = an_exact(w, searches={})
+        result = an_exact(w)
         assert full_paths == [5, 3]
-        assert result.value == an_exact(w).value == 3
+        assert result.value == 3
         assert result.witness.q == 3
         assert uniquely_accepts(result.witness, w)
         assert result.certificate.states_ruled_out == 2

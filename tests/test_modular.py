@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import acx.modular
 from acx.complexity import an_exact, cyclic_witness
 from acx.modular import (
     SIEVE_LIMIT,
@@ -241,6 +243,29 @@ class TestBestBoundTable:
         for n in range(5):
             defined = [row[n] for row in table if row[n] is not None]
             assert defined == sorted(defined)
+
+    def test_subcube_minima_match_the_max_min_definition(self):
+        def max_min(values, n, c):
+            # each position set, grouped by its bits, as the table defines it
+            worst = 0
+            for positions in combinations(range(n), c):
+                posmask = sum(1 << p for p in positions)
+                group_min: dict = {}
+                for index, value in enumerate(values):
+                    key = index & posmask
+                    group_min[key] = min(group_min.get(key, value), value)
+                worst = max(worst, max(group_min.values()))
+            return worst
+
+        rng = random.Random(2026)
+        for n in range(9):
+            for c_max in range(n + 1):
+                values = [rng.randrange(1, 7) for _ in range(1 << n)]
+                assert acx.modular._max_subcube_minima(values, c_max) == [
+                    max_min(values, n, c) for c in range(c_max + 1)
+                ], (n, c_max)
+        # c_max above n stops at c = n
+        assert acx.modular._max_subcube_minima([3, 1, 2, 5], 6) == [1, 2, 5]
 
     def test_exact_values_with_one_dict_across_lengths(self):
         shared: dict = {}
