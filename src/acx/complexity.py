@@ -99,11 +99,14 @@ class _LevelSearch:
     p, or if p itself has two walks.  Reusing a transition appends one row.
     A new transition is first tested in O(1) against ``in_any`` (see
     _extend), which cuts most of them.  Committing one that passes leaves
-    the rows before the first that reaches its source as they are and
-    rebuilds the rest into a fresh list, stopping at the first row with a
+    the rows up to the first that reaches its source as they are, and
+    copies the rest into a fresh list with the walks that take the new
+    transition added: those are counted apart, in a capped pair of masks
+    carried from row to row, so a row costs a step of those few walks
+    rather than of all of them.  The copy stops at the first row with a
     second walk into the path; the undo record keeps the old list, so an
-    undo restores it whole.  Each cut is one that the full rebuild would
-    make, so the prune stays exact.
+    undo restores it whole.  Each cut is one that recomputing every row
+    with the transition would make, so the prune stays exact.
 
     The search runs in the calling process, as one depth-first walk over
     the window [lo, q] of state counts.  A ``least`` walk tries targets in
@@ -185,9 +188,16 @@ class _LevelSearch:
         a state reached by a walk of length ``depth`` already has an edge
         into target: that walk and edge, and the path's own walk through
         the new transition, are two walks of length depth + 1 into target.
-        Otherwise the rows are rebuilt with the transition, and the step is
-        cut at the first rebuilt row i with two walks into ``path[i]`` (or
-        into target at the end), since the path carries both on to target.
+
+        Otherwise the walks of each length i that take the new edge are
+        counted in a capped pair (d1, d2): the pair for i - 1 stepped
+        through the edges, new one included, plus the old walks of length
+        i - 1 into source, each taking the new edge into target.  Row i
+        becomes the old row plus that pair.  The path's own walk does not
+        take the new edge, so the step is cut at the first row i <= depth
+        whose pair reaches ``path[i]``, and at row depth + 1, a full step of
+        the new row depth, if it has two walks into target; the path
+        carries both walks on to target.
         """
         source = self.path[depth]
         old = self.labels[source][target]
@@ -202,34 +212,60 @@ class _LevelSearch:
             return _OLD_EDGE
         if rows[-1][0] & self.in_any[target]:
             return None
-        self._relabel(source, target, old | letter)
+        # source is in that row, so old is 0 and the transition is a new edge
+        self._relabel(source, target, letter)
         bit = 1 << source
+        target_bit = 1 << target
         first = 0
         while not rows[first][0] & bit:
             first += 1
         fresh = rows[: first + 1]
-        row = fresh[-1]
-        step = self._step
+        out_any = self.out_any
+        out_multi = self.out_multi
         path = self.path
-        path.append(target)
-        for i in range(first + 1, depth + 2):
-            row = step(row)
-            if (row[1] >> path[i]) & 1:
-                path.pop()
-                self._relabel(source, target, old)
+        m1, m2 = fresh[-1]
+        d1 = d2 = 0
+        for i in range(first + 1, depth + 1):
+            # the walks of length i that take the new edge: those of length
+            # i - 1 stepped on, and the old walks into source taking it
+            r1 = r2 = 0
+            while d1:
+                low = d1 & -d1
+                p = low.bit_length() - 1
+                targets = out_any[p]
+                r2 |= (r1 & targets) | out_multi[p]
+                if d2 & low:
+                    r2 |= targets
+                r1 |= targets
+                d1 ^= low
+            if m1 & bit:
+                if m2 & bit or r1 & target_bit:
+                    r2 |= target_bit
+                r1 |= target_bit
+            d1 = r1
+            d2 = r2
+            m1, m2 = rows[i]
+            if (d1 >> path[i]) & 1:
+                self._relabel(source, target, 0)
                 return None
-            fresh.append(row)
+            fresh.append((m1 | d1, m2 | d2 | (m1 & d1)))
+        row = self._step(fresh[-1])
+        if (row[1] >> target) & 1:
+            self._relabel(source, target, 0)
+            return None
+        fresh.append(row)
+        path.append(target)
         self.rows = fresh
-        return (source, target, old, rows)
+        return (source, target, rows)
 
     def _retract(self, record) -> None:
         self.path.pop()
         if record is _OLD_EDGE:
             self.rows.pop()
             return
-        source, target, old, rows = record
+        source, target, rows = record
         self.rows = rows
-        self._relabel(source, target, old)
+        self._relabel(source, target, 0)
 
     def _walk(self, depth: int, max_state: int) -> bool:
         """Extend the path depth first.

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from acx.complexity import _LevelSearch
 from acx.nfa import Nfa, uniquely_accepts
 from acx.words import Word
 
@@ -150,3 +151,78 @@ def path_induced_oracle(w: Word) -> tuple[int, Nfa]:
             if uniquely_accepts(candidate, w):
                 return q, candidate
     raise AssertionError(f"no path-induced witness for {w}")
+
+
+def capped_walk_rows(labels: list[list[int]], length: int) -> list[tuple[int, int]]:
+    """Walks of each length 0..length from state 0, capped at 2, as masks.
+
+    ``labels[p][t]`` is the bitmask of the letters on the edge p -> t, and
+    each letter is one walk step.  Row i is (m1, m2): the states reached by
+    at least one walk of length i, and by at least two.  Counts each row
+    afresh from the one before, state by state.
+    """
+    q = len(labels)
+    counts = [1] + [0] * (q - 1)
+    rows = []
+    for i in range(length + 1):
+        if i:
+            step = [0] * q
+            for p in range(q):
+                for t in range(q):
+                    letters = bin(labels[p][t]).count("1")
+                    step[t] = min(2, step[t] + counts[p] * letters)
+            counts = step
+        m1 = sum(1 << t for t in range(q) if counts[t] >= 1)
+        m2 = sum(1 << t for t in range(q) if counts[t] >= 2)
+        rows.append((m1, m2))
+    return rows
+
+
+class FullRebuildSearch(_LevelSearch):
+    """The walk with a committed new transition's rows recomputed in full.
+
+    Each row from the first that reaches the source on is one ``_step`` of
+    the row before it with the transition in place, where the kernel adds
+    only the walks that take it; the walk, its cuts and its counts are
+    otherwise the kernel's, so the two must agree node for node.
+    """
+
+    __slots__ = ()
+
+    def _extend(self, depth: int, target: int):
+        source = self.path[depth]
+        old = self.labels[source][target]
+        letter = 1 << self.letters[depth]
+        rows = self.rows
+        if old & letter:
+            return super()._extend(depth, target)
+        if rows[-1][0] & self.in_any[target]:
+            return None
+        self._relabel(source, target, old | letter)
+        bit = 1 << source
+        first = 0
+        while not rows[first][0] & bit:
+            first += 1
+        fresh = rows[: first + 1]
+        row = fresh[-1]
+        path = self.path
+        path.append(target)
+        for i in range(first + 1, depth + 2):
+            row = self._step(row)
+            if (row[1] >> path[i]) & 1:
+                path.pop()
+                self._relabel(source, target, old)
+                return None
+            fresh.append(row)
+        self.rows = fresh
+        return (source, target, old, rows)
+
+    def _retract(self, record) -> None:
+        if len(record) != 4:
+            # a reused transition, committed by the kernel's _extend
+            super()._retract(record)
+            return
+        source, target, old, rows = record
+        self.path.pop()
+        self.rows = rows
+        self._relabel(source, target, old)

@@ -25,7 +25,9 @@ from acx.experiments import worker_count
 from acx.nfa import Nfa, uniquely_accepts
 from acx.words import Word
 from oracles import (
+    FullRebuildSearch,
     accepts_spelling,
+    capped_walk_rows,
     count_length_n_accepting_paths,
     count_walks_oracle,
     path_induced_oracle,
@@ -162,6 +164,32 @@ def assert_matches_naive_oracle(w: Word) -> None:
     assert uniquely_accepts(bounded.witness, w), w
 
 
+def check_after_every_change(monkeypatch, check) -> None:
+    """Decides seeded words of length 11 on 2 and 3 letters with
+    check(search) run after every commit, cut and undo of a step."""
+    extend = acx.complexity._LevelSearch._extend
+    retract = acx.complexity._LevelSearch._retract
+    checked = []
+
+    def checked_extend(self, depth, target):
+        record = extend(self, depth, target)
+        check(self)
+        checked.append(self.q)
+        return record
+
+    def checked_retract(self, record):
+        retract(self, record)
+        check(self)
+
+    monkeypatch.setattr(acx.complexity._LevelSearch, "_extend", checked_extend)
+    monkeypatch.setattr(acx.complexity._LevelSearch, "_retract", checked_retract)
+    rng = random.Random(8)
+    for k in (2, 3):
+        for _ in range(4):
+            an_exact(Word(tuple(rng.randrange(k) for _ in range(11)), k))
+    assert max(checked) >= 5
+
+
 class TestKernelInvariants:
     """Node counts and witnesses that a change to the search kernel alone
     must leave exactly as they are."""
@@ -178,39 +206,28 @@ class TestKernelInvariants:
         assert sum(nodes(w) for w in binary) == 68148
 
     def test_in_any_follows_labels(self, monkeypatch):
-        # in_any[t] is the set of sources with a letter into t, after every
-        # commit, cut and undo
-        extend = acx.complexity._LevelSearch._extend
-        retract = acx.complexity._LevelSearch._retract
-        checked = []
-
+        # in_any[t] is the set of sources with a letter into t
         def check(search):
             for t in range(search.q):
                 sources = sum(1 << p for p in range(search.q) if search.labels[p][t])
                 assert search.in_any[t] == sources
-            checked.append(search.q)
 
-        def checked_extend(self, depth, target):
-            record = extend(self, depth, target)
-            check(self)
-            return record
+        check_after_every_change(monkeypatch, check)
 
-        def checked_retract(self, record):
-            retract(self, record)
-            check(self)
+    def test_rows_follow_labels(self, monkeypatch):
+        # rows[i] is the capped count of walks of length i from state 0
+        # over the committed transitions
+        def check(search):
+            assert search.rows == capped_walk_rows(search.labels, len(search.rows) - 1)
+            assert len(search.rows) == len(search.path)
 
-        monkeypatch.setattr(acx.complexity._LevelSearch, "_extend", checked_extend)
-        monkeypatch.setattr(acx.complexity._LevelSearch, "_retract", checked_retract)
-        rng = random.Random(8)
-        for k in (2, 3):
-            for _ in range(4):
-                an_exact(Word(tuple(rng.randrange(k) for _ in range(11)), k))
-        assert max(checked) >= 5
+        check_after_every_change(monkeypatch, check)
 
     def test_step_calls(self, monkeypatch):
         # most new edges are cut by the in_any test before any row is
-        # rebuilt, and a rebuild stops at the first row with a second walk
-        # into the path; a count of rows built, which no machine changes
+        # recounted, and a committed new edge recounts rows up to depth
+        # from the walks that take it, with one full step for the row
+        # after; a count of full steps, which no machine changes
         step = acx.complexity._LevelSearch._step
         calls = []
 
@@ -220,10 +237,10 @@ class TestKernelInvariants:
 
         monkeypatch.setattr(acx.complexity._LevelSearch, "_step", counted)
         an_exact(REFERENCE)
-        assert len(calls) == 8804
+        assert len(calls) == 1219
         calls.clear()
         an_exact(W("001111110100110110", k=2))
-        assert len(calls) == 63225
+        assert len(calls) == 6944
 
     def test_naive_oracle_all_binary_up_to_seven(self):
         for n in range(8):
@@ -245,6 +262,42 @@ class TestKernelInvariants:
         # length 8 reaches A_N = 5, one level above the exhaustive checks
         k, letters = drawn
         assert_matches_naive_oracle(Word(tuple(letters), k))
+
+
+def delta_words() -> list[Word]:
+    """Every binary word up to length 9, every ternary word up to length 6,
+    and a seeded sample of words of length 12 to 16 on 2 to 4 letters."""
+    words = [Word(l, 2) for n in range(10) for l in product((0, 1), repeat=n)]
+    words += [Word(l, 3) for n in range(7) for l in product(range(3), repeat=n)]
+    rng = random.Random(20)
+    for _ in range(16):
+        k = rng.randint(2, 4)
+        words.append(Word(tuple(rng.randrange(k) for _ in range(rng.randint(12, 16))), k))
+    return words
+
+
+class TestDeltaRows:
+    """The kernel, which adds a new transition's walks to the rows, walks
+    as FullRebuildSearch does, which recounts the rows in full: the same
+    witness path, node counts and final bound, in both orders and on the
+    windows of a bracket from level 1 and of Hyde's level alone."""
+
+    def test_same_walk_as_the_full_rebuild(self):
+        walks = 0
+        for w in delta_words():
+            hyde = hyde_bound(len(w))
+            for lo, q in ((1, hyde - 1), (hyde, hyde)):
+                if lo > q:
+                    continue
+                for least in (True, False):
+                    searches = []
+                    for kind in (acx.complexity._LevelSearch, FullRebuildSearch):
+                        search = kind(w.letters, lo, q, least)
+                        search._walk(0, 0)
+                        searches.append((search.best, search.counts, search.q))
+                    assert searches[0] == searches[1], (w, lo, q, least)
+                    walks += 1
+        assert walks == 8514
 
 
 def levels_in_turn(letters: tuple[int, ...]):
