@@ -86,27 +86,30 @@ class _LevelSearch:
     """Depth-first scan of canonical path candidates with lo to q states.
 
     The committed transitions are held once, as ``labels[p][t]``: the
-    bitmask of the letters on the edge p -> t, which also answers whether a
-    step reuses a committed transition.  Three masks follow it on every
-    commit and undo: ``out_any[p]``, the targets of p with at least one
-    letter, ``out_multi[p]``, those with two or more, and ``in_any[t]``,
-    the sources with at least one letter into t.
+    letter bit of the edge p -> t, or 0, which also answers whether a step
+    reuses a committed transition.  A committed edge carries exactly one
+    letter: a second letter on p -> t is cut by the in_any test (see
+    _walk), since the path is at p.  Two masks follow it: ``out_any[p]``,
+    the targets of p, and ``in_any[t]``, the sources into t.
 
     Walk counts, capped at two, live in one (m1, m2) row per path position:
     the states reached by at least one walk of that length, and by at least
     two.  A step walks the set bits p of m1; a target of p gets a second
-    walk if an earlier p already reached it, if two letters lead there from
-    p, or if p itself has two walks.  Reusing a transition appends one row.
-    A new transition is first tested in O(1) against ``in_any`` (see
-    _extend), which cuts most of them.  Committing one that passes leaves
-    the rows up to the first that reaches its source as they are, and
-    copies the rest into a fresh list with the walks that take the new
-    transition added: those are counted apart, in a capped pair of masks
-    carried from row to row, so a row costs a step of those few walks
-    rather than of all of them.  The copy stops at the first row with a
-    second walk into the path; the undo record keeps the old list, so an
-    undo restores it whole.  Each cut is one that recomputing every row
-    with the transition would make, so the prune stays exact.
+    walk if an earlier p already reached it, or if p itself has two walks.
+    Reusing a transition appends one row.  A new transition is first tested
+    in O(1) against ``in_any`` (see _walk), which cuts most of them.  For
+    one that passes, _extend sets only its bit of ``out_any``, leaves the
+    rows up to the first that reaches its source as they are, and copies
+    the rest into a fresh list with the walks that take the new transition
+    added: those are counted apart, in a capped pair of masks carried from
+    row to row, so a row costs a step of those few walks rather than of all
+    of them, and a row that none of them reaches is kept as it is.  The
+    copy stops at the first row with a second walk into the path, and a
+    cut clears the ``out_any`` bit again; ``labels`` and ``in_any`` are
+    written only when the edge survives.  The undo record keeps the old
+    list, so an undo restores it whole and clears the edge from all three.
+    Each cut is one that recomputing every row with the transition would
+    make, so the prune stays exact.
 
     The search runs in the calling process, as one depth-first walk over
     the window [lo, q] of state counts.  A ``least`` walk tries targets in
@@ -131,7 +134,7 @@ class _LevelSearch:
     """
 
     __slots__ = (
-        "letters", "n", "lo", "q", "labels", "out_any", "out_multi", "in_any",
+        "letters", "n", "lo", "q", "labels", "out_any", "in_any",
         "rows", "path", "counts", "best", "least",
     )
 
@@ -143,7 +146,6 @@ class _LevelSearch:
         self.least = least
         self.labels = [[0] * q for _ in range(q)]
         self.out_any = [0] * q
-        self.out_multi = [0] * q
         self.in_any = [0] * q
         self.rows: list[tuple[int, int]] = [(1, 0)]
         self.path: list[int] = [0]
@@ -153,76 +155,60 @@ class _LevelSearch:
     def _step(self, row: tuple[int, int]) -> tuple[int, int]:
         m1, m2 = row
         out_any = self.out_any
-        out_multi = self.out_multi
         r1 = 0
         r2 = 0
         while m1:
             low = m1 & -m1
-            p = low.bit_length() - 1
-            targets = out_any[p]
-            r2 |= (r1 & targets) | out_multi[p]
+            targets = out_any[low.bit_length() - 1]
+            r2 |= r1 & targets
             if m2 & low:
                 r2 |= targets
             r1 |= targets
             m1 ^= low
         return r1, r2
 
-    def _relabel(self, source: int, target: int, labels: int) -> None:
-        self.labels[source][target] = labels
-        bit = 1 << target
-        if labels:
-            self.out_any[source] |= bit
-            self.in_any[target] |= 1 << source
-        else:
-            self.out_any[source] &= ~bit
-            self.in_any[target] &= ~(1 << source)
-        if labels & (labels - 1):
-            self.out_multi[source] |= bit
-        else:
-            self.out_multi[source] &= ~bit
-
     def _extend(self, depth: int, target: int):
         """Commit one step of the path; returns an undo record or None if pruned.
 
-        A new transition source -> target is cut before it is committed when
-        a state reached by a walk of length ``depth`` already has an edge
-        into target: that walk and edge, and the path's own walk through
-        the new transition, are two walks of length depth + 1 into target.
+        A new transition source -> target reaches here only past the in_any
+        test of _walk: no state reached by a walk of length ``depth`` has
+        an edge into target.
 
-        Otherwise the walks of each length i that take the new edge are
-        counted in a capped pair (d1, d2): the pair for i - 1 stepped
-        through the edges, new one included, plus the old walks of length
-        i - 1 into source, each taking the new edge into target.  Row i
-        becomes the old row plus that pair.  The path's own walk does not
-        take the new edge, so the step is cut at the first row i <= depth
-        whose pair reaches ``path[i]``, and at row depth + 1, a full step of
-        the new row depth, if it has two walks into target; the path
-        carries both walks on to target.
+        The walks of each length i that take the new edge are counted in a
+        capped pair (d1, d2): the pair for i - 1 stepped through the edges,
+        new one included, plus the old walks of length i - 1 into source,
+        each taking the new edge into target.  Row i becomes the old row
+        plus that pair.  The path's own walk does not take the new edge, so
+        the step is cut at the first row i <= depth whose pair reaches
+        ``path[i]``, and at row depth + 1 if it has two walks into target;
+        the path carries both walks on to target.  That last test is O(1):
+        a walk into target takes the new edge from source, or an old edge
+        from a source in in_any[target].  Source has one walk of length
+        depth, the path's: no row has a second walk into the path, and a
+        d1 that reaches source has been cut.  The old row depth reaches no
+        state of in_any[target], so target has two walks exactly when d1
+        meets in_any[target].
         """
-        source = self.path[depth]
-        old = self.labels[source][target]
+        path = self.path
+        source = path[depth]
         letter = 1 << self.letters[depth]
         rows = self.rows
-        if old & letter:
+        if self.labels[source][target] & letter:
             row = self._step(rows[-1])
             if (row[1] >> target) & 1:
                 return None
             rows.append(row)
-            self.path.append(target)
+            path.append(target)
             return _OLD_EDGE
-        if rows[-1][0] & self.in_any[target]:
-            return None
-        # source is in that row, so old is 0 and the transition is a new edge
-        self._relabel(source, target, letter)
+        # source is in the last row, so source -> target has no letter yet
         bit = 1 << source
         target_bit = 1 << target
+        out_any = self.out_any
+        out_any[source] |= target_bit
         first = 0
         while not rows[first][0] & bit:
             first += 1
         fresh = rows[: first + 1]
-        out_any = self.out_any
-        out_multi = self.out_multi
-        path = self.path
         m1, m2 = fresh[-1]
         d1 = d2 = 0
         for i in range(first + 1, depth + 1):
@@ -231,9 +217,8 @@ class _LevelSearch:
             r1 = r2 = 0
             while d1:
                 low = d1 & -d1
-                p = low.bit_length() - 1
-                targets = out_any[p]
-                r2 |= (r1 & targets) | out_multi[p]
+                targets = out_any[low.bit_length() - 1]
+                r2 |= r1 & targets
                 if d2 & low:
                     r2 |= targets
                 r1 |= targets
@@ -244,16 +229,17 @@ class _LevelSearch:
                 r1 |= target_bit
             d1 = r1
             d2 = r2
-            m1, m2 = rows[i]
+            m1, m2 = row = rows[i]
             if (d1 >> path[i]) & 1:
-                self._relabel(source, target, 0)
+                out_any[source] &= ~target_bit
                 return None
-            fresh.append((m1 | d1, m2 | d2 | (m1 & d1)))
-        row = self._step(fresh[-1])
-        if (row[1] >> target) & 1:
-            self._relabel(source, target, 0)
+            fresh.append((m1 | d1, m2 | d2 | (m1 & d1)) if d1 else row)
+        if d1 & self.in_any[target]:
+            out_any[source] &= ~target_bit
             return None
-        fresh.append(row)
+        fresh.append(self._step(fresh[-1]))
+        self.labels[source][target] = letter
+        self.in_any[target] |= bit
         path.append(target)
         self.rows = fresh
         return (source, target, rows)
@@ -265,7 +251,9 @@ class _LevelSearch:
             return
         source, target, rows = record
         self.rows = rows
-        self._relabel(source, target, 0)
+        self.labels[source][target] = 0
+        self.out_any[source] &= ~(1 << target)
+        self.in_any[target] &= ~(1 << source)
 
     def _walk(self, depth: int, max_state: int) -> bool:
         """Extend the path depth first.
@@ -276,6 +264,11 @@ class _LevelSearch:
         reaches a full path sooner.  Returns True once a full path with lo
         states ends the walk.  The extension into the endpoint already
         ruled out a second walk there.
+
+        A new transition source -> target is cut here, before _extend, when
+        a state reached by a walk of length ``depth`` already has an edge
+        into target: that walk and edge, and the path's own walk through
+        the new transition, are two walks of length depth + 1 into target.
         """
         remaining = self.n - depth - 1
         if remaining <= 0:
@@ -291,6 +284,10 @@ class _LevelSearch:
         # a target below floor leaves too few steps to use all lo states
         floor = self.lo - 1 - remaining
         counts = self.counts[depth]
+        reach = self.rows[-1][0]
+        letter = 1 << self.letters[depth]
+        edges = self.labels[self.path[depth]]
+        in_any = self.in_any
         if self.least:
             targets = range(max_state + 2)
         else:
@@ -302,6 +299,8 @@ class _LevelSearch:
             if new_max < floor:
                 continue
             counts[new_max] += 1
+            if not edges[target] & letter and reach & in_any[target]:
+                continue
             record = self._extend(depth, target)
             if record is None:
                 continue

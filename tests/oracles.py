@@ -181,13 +181,25 @@ def capped_walk_rows(labels: list[list[int]], length: int) -> list[tuple[int, in
 class FullRebuildSearch(_LevelSearch):
     """The walk with a committed new transition's rows recomputed in full.
 
-    Each row from the first that reaches the source on is one ``_step`` of
-    the row before it with the transition in place, where the kernel adds
-    only the walks that take it; the walk, its cuts and its counts are
-    otherwise the kernel's, so the two must agree node for node.
+    Each row from the first that reaches the source on, row depth + 1
+    included, is one ``_step`` of the row before it with the transition in
+    place, where the kernel adds only the walks that take it and tests the
+    last row in O(1).  The edge and its masks are written before the rows
+    and restored on a cut or an undo, here and not by the kernel; the walk,
+    its in_any test and its counts are otherwise the kernel's, so the two
+    must agree node for node.
     """
 
     __slots__ = ()
+
+    def _set_edge(self, source: int, target: int, letters: int) -> None:
+        self.labels[source][target] = letters
+        if letters:
+            self.out_any[source] |= 1 << target
+            self.in_any[target] |= 1 << source
+        else:
+            self.out_any[source] &= ~(1 << target)
+            self.in_any[target] &= ~(1 << source)
 
     def _extend(self, depth: int, target: int):
         source = self.path[depth]
@@ -196,9 +208,7 @@ class FullRebuildSearch(_LevelSearch):
         rows = self.rows
         if old & letter:
             return super()._extend(depth, target)
-        if rows[-1][0] & self.in_any[target]:
-            return None
-        self._relabel(source, target, old | letter)
+        self._set_edge(source, target, old | letter)
         bit = 1 << source
         first = 0
         while not rows[first][0] & bit:
@@ -211,7 +221,7 @@ class FullRebuildSearch(_LevelSearch):
             row = self._step(row)
             if (row[1] >> path[i]) & 1:
                 path.pop()
-                self._relabel(source, target, old)
+                self._set_edge(source, target, old)
                 return None
             fresh.append(row)
         self.rows = fresh
@@ -225,4 +235,4 @@ class FullRebuildSearch(_LevelSearch):
         source, target, old, rows = record
         self.path.pop()
         self.rows = rows
-        self._relabel(source, target, old)
+        self._set_edge(source, target, old)

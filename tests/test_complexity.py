@@ -166,20 +166,33 @@ def assert_matches_naive_oracle(w: Word) -> None:
 
 def check_after_every_change(monkeypatch, check) -> None:
     """Decides seeded words of length 11 on 2 and 3 letters with
-    check(search) run after every commit, cut and undo of a step."""
+    check(search) run after every step that reaches _extend, committed or
+    cut there, and after every undo; a step that the in_any test of _walk
+    cuts changes nothing and is not checked.  Every check also asserts
+    that each committed edge carries one letter, that out_any[p] is the
+    set of targets of p, and that no row has a second walk into the
+    path."""
     extend = acx.complexity._LevelSearch._extend
     retract = acx.complexity._LevelSearch._retract
     checked = []
 
+    def check_all(search):
+        for p in range(search.q):
+            assert all(labels & (labels - 1) == 0 for labels in search.labels[p])
+            targets = sum(1 << t for t in range(search.q) if search.labels[p][t])
+            assert search.out_any[p] == targets
+        assert not any(m2 >> s & 1 for (_, m2), s in zip(search.rows, search.path))
+        check(search)
+
     def checked_extend(self, depth, target):
         record = extend(self, depth, target)
-        check(self)
+        check_all(self)
         checked.append(self.q)
         return record
 
     def checked_retract(self, record):
         retract(self, record)
-        check(self)
+        check_all(self)
 
     monkeypatch.setattr(acx.complexity._LevelSearch, "_extend", checked_extend)
     monkeypatch.setattr(acx.complexity._LevelSearch, "_retract", checked_retract)
@@ -225,9 +238,10 @@ class TestKernelInvariants:
 
     def test_step_calls(self, monkeypatch):
         # most new edges are cut by the in_any test before any row is
-        # recounted, and a committed new edge recounts rows up to depth
-        # from the walks that take it, with one full step for the row
-        # after; a count of full steps, which no machine changes
+        # recounted, and a new edge recounts rows up to depth from the
+        # walks that take it and tests the row after in O(1); only a
+        # reused edge or a new edge that survives takes one full step, a
+        # count that no machine changes
         step = acx.complexity._LevelSearch._step
         calls = []
 
@@ -237,10 +251,10 @@ class TestKernelInvariants:
 
         monkeypatch.setattr(acx.complexity._LevelSearch, "_step", counted)
         an_exact(REFERENCE)
-        assert len(calls) == 1219
+        assert len(calls) == 924
         calls.clear()
         an_exact(W("001111110100110110", k=2))
-        assert len(calls) == 6944
+        assert len(calls) == 5547
 
     def test_naive_oracle_all_binary_up_to_seven(self):
         for n in range(8):
