@@ -116,16 +116,15 @@ class _LevelSearch:
     increasing order; any other tries the new state first, then the
     existing states from the highest down, so that q drops sooner (see
     _walk).  It prunes every target >= q and every path that can no longer
-    use lo states, and it stops at its first full path with lo states.  A
-    full path with m + 1 > lo states is kept as ``best`` and sets q = m,
-    so the walk goes on for a witness with fewer states.  A path of n - 1
-    steps with m + 1 states uniquely accepts the word without its last
-    letter, so it plus one new final state m + 1 is a witness with m + 2
-    states; it is kept as ``best``, and q drops to m + 1, when that is
-    below q and not below lo.  With lo = q, q never
-    moves, and the walk is one level's search.  When the walk ends without
-    a full path of lo states, ``best`` has q + 1 states, and every
-    candidate with at most q states has been ruled out.
+    use lo states.  Only a full path moves q: it is kept as ``best`` and
+    sets q = m, its largest state, so once a path is found q = max(best).
+    A path with lo states, m < lo, ends the walk; with more, the walk goes
+    on for a witness with fewer states.  A path of n - 1 steps needs no
+    rule of its own: its step into a new state m + 1, which has no edges,
+    always survives, so the walk reaches that witness one step later.
+    With lo = q, the first full path ends the walk, which is one level's
+    search.  When the walk ends, every level from lo to q has been ruled
+    out, and ``best``, if any, has q + 1 states.
 
     ``counts[d][m]`` is the number of extensions examined from depth d
     whose path then has largest state m.  Which are cut does not depend
@@ -270,19 +269,12 @@ class _LevelSearch:
         into target: that walk and edge, and the path's own walk through
         the new transition, are two walks of length depth + 1 into target.
         """
-        remaining = self.n - depth - 1
-        if remaining <= 0:
-            if remaining:
-                self.best = tuple(self.path)
-                if max_state < self.lo:
-                    return True
-                self.q = max_state
-                return False
-            if self.lo <= max_state + 1 < self.q:
-                self.best = tuple(self.path) + (max_state + 1,)
-                self.q = max_state + 1
+        if depth == self.n:
+            self.best = tuple(self.path)
+            self.q = max_state
+            return max_state < self.lo
         # a target below floor leaves too few steps to use all lo states
-        floor = self.lo - 1 - remaining
+        floor = self.lo - self.n + depth
         counts = self.counts[depth]
         reach = self.rows[-1][0]
         letter = 1 << self.letters[depth]
@@ -316,9 +308,8 @@ class _LevelSearch:
         Cuts do not depend on the window, so that search examines exactly
         this walk's extensions from a depth d into a path with largest
         state m < s that can still use s states, s <= m + n - d.  Exact
-        for each level from lo to q at the end of a walk that found no path
-        with lo states: q never went below it, so the walk examined all of
-        those extensions.
+        for each level from lo to q at the end of the walk: q never went
+        below it, so the walk examined all of those extensions.
         """
         n = self.n
         return sum(
@@ -336,14 +327,14 @@ def _search_level(
     with lo = q and ``least`` it is the least full path with q states.
     Without ``least`` the walk tries new states first (see
     _LevelSearch._walk), and its path need not be the least.  The list
-    holds the node count of each level from lo up to one below the path's
-    state count (up to q if there is no path), as that level's own search
-    counts it; each of those levels is exhausted, whatever the order.
+    holds the node count of each level from lo to the walk's final q, one
+    below the path's state count (q itself if there is no path), as that
+    level's own search counts it; each of those levels is exhausted,
+    whatever the order.
     """
     search = _LevelSearch(letters, lo, q, least)
     search._walk(0, 0)
-    top = search.q if search.best is None else max(search.best)
-    return search.best, [search.level_nodes(s) for s in range(lo, top + 1)]
+    return search.best, [search.level_nodes(s) for s in range(lo, search.q + 1)]
 
 
 def _witness_from_path(word: Word, seq: tuple[int, ...], q: int) -> Nfa:
@@ -437,11 +428,11 @@ def an_exact(
     path; and hyde_bound(n), by Hyde's path 0, 1, ..., m, m, m - 1, ...
     with m = n // 2.  Otherwise lo = 1 and hi = hyde_bound(n) with Hyde's
     path.  If lo < hi, one walk (see _LevelSearch) looks for a witness
-    with lo to hi - 1 states: each full path it finds, and each path of
-    n - 1 steps plus one new final state, lowers the state count it still
-    looks for.  The value is the state count of its last witness, or hi,
-    with hi's path, if it finds none.  A bracket from the factors has
-    hi <= lo + 1, so its walk is the search of level lo alone.
+    with lo to hi - 1 states: each full path it finds lowers the state
+    count it still looks for to one below its own.  The value is the state
+    count of its last witness, or hi, with hi's path, if it finds none.
+    A bracket from the factors has hi <= lo + 1, so its walk is the
+    search of level lo alone.
 
     Without ``searches``, the bracket is (1, hyde_bound(n)), and the walk
     tries targets in lexicographic order.  Until it finds a path with the

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-from acx.complexity import _LevelSearch
 from acx.nfa import Nfa, uniquely_accepts
 from acx.words import Word
 
@@ -178,61 +177,102 @@ def capped_walk_rows(labels: list[list[int]], length: int) -> list[tuple[int, in
     return rows
 
 
-class FullRebuildSearch(_LevelSearch):
-    """The walk with a committed new transition's rows recomputed in full.
+class FullRebuildSearch:
+    """The walk of _LevelSearch with every step checked by recounting rows.
 
-    Each row from the first that reaches the source on, row depth + 1
-    included, is one ``_step`` of the row before it with the transition in
-    place, where the kernel adds only the walks that take it and tests the
-    last row in O(1).  The edge and its masks are written before the rows
-    and restored on a cut or an undo, here and not by the kernel; the walk,
-    its in_any test and its counts are otherwise the kernel's, so the two
-    must agree node for node.
+    It enumerates the same canonical paths in the same order, under the
+    same window [lo, q], floor and ``counts``, and lowers q the same way,
+    at a full path only; ``best``, ``counts`` and ``q`` must come out as
+    the kernel's.  Its steps are checked without the kernel's shortcuts:
+    no in_any test and no O(1) test of the last row.  A step writes its
+    letter into ``labels[p][t]``, a bitmask of letters, and every row from
+    the first that reaches p to the new one is recounted over all the
+    committed letters, two letters on one edge counted as two walks, as
+    uniquely_accepts counts them.  The step is cut if a recounted row has
+    a second walk into its path state.  ``out_any[p]``, the targets of p,
+    and ``out_multi[p]``, the targets p reaches over two or more letters,
+    follow ``labels`` as each edge is written.
     """
 
-    __slots__ = ()
+    def __init__(self, letters, lo: int, q: int, least: bool):
+        self.letters = tuple(letters)
+        self.n = len(letters)
+        self.lo = lo
+        self.q = q
+        self.least = least
+        self.labels = [[0] * q for _ in range(q)]
+        self.out_any = [0] * q
+        self.out_multi = [0] * q
+        self.rows = [(1, 0)]
+        self.path = [0]
+        self.counts = [[0] * q for _ in range(self.n)]
+        self.best = None
 
-    def _set_edge(self, source: int, target: int, letters: int) -> None:
-        self.labels[source][target] = letters
+    def _set_label(self, p: int, t: int, letters: int) -> None:
+        self.labels[p][t] = letters
+        bit = 1 << t
+        self.out_any[p] &= ~bit
+        self.out_multi[p] &= ~bit
         if letters:
-            self.out_any[source] |= 1 << target
-            self.in_any[target] |= 1 << source
-        else:
-            self.out_any[source] &= ~(1 << target)
-            self.in_any[target] &= ~(1 << source)
+            self.out_any[p] |= bit
+        if letters & (letters - 1):
+            self.out_multi[p] |= bit
 
-    def _extend(self, depth: int, target: int):
-        source = self.path[depth]
-        old = self.labels[source][target]
-        letter = 1 << self.letters[depth]
-        rows = self.rows
-        if old & letter:
-            return super()._extend(depth, target)
-        self._set_edge(source, target, old | letter)
-        bit = 1 << source
-        first = 0
-        while not rows[first][0] & bit:
-            first += 1
-        fresh = rows[: first + 1]
-        row = fresh[-1]
+    def _step(self, row):
+        m1, m2 = row
+        out_any = self.out_any
+        out_multi = self.out_multi
+        r1 = r2 = 0
+        while m1:
+            low = m1 & -m1
+            p = low.bit_length() - 1
+            targets = out_any[p]
+            r2 |= (r1 & targets) | out_multi[p]
+            if m2 & low:
+                r2 |= targets
+            r1 |= targets
+            m1 ^= low
+        return r1, r2
+
+    def _recount(self, source: int) -> bool:
+        """Recounts the rows after the first that reaches source, up to the
+        path's end; False, with the rows as they were, on a second walk."""
         path = self.path
-        path.append(target)
-        for i in range(first + 1, depth + 2):
-            row = self._step(row)
-            if (row[1] >> path[i]) & 1:
-                path.pop()
-                self._set_edge(source, target, old)
-                return None
-            fresh.append(row)
+        first = 0
+        while not self.rows[first][0] >> source & 1:
+            first += 1
+        fresh = self.rows[: first + 1]
+        for i in range(first + 1, len(path)):
+            fresh.append(self._step(fresh[-1]))
+            if fresh[-1][1] >> path[i] & 1:
+                return False
         self.rows = fresh
-        return (source, target, old, rows)
+        return True
 
-    def _retract(self, record) -> None:
-        if len(record) != 4:
-            # a reused transition, committed by the kernel's _extend
-            super()._retract(record)
-            return
-        source, target, old, rows = record
-        self.path.pop()
-        self.rows = rows
-        self._set_edge(source, target, old)
+    def _walk(self, depth: int, max_state: int) -> bool:
+        if depth == self.n:
+            self.best = tuple(self.path)
+            self.q = max_state
+            return max_state < self.lo
+        targets = range(max_state + 2)
+        if not self.least:
+            targets = reversed(targets)
+        source = self.path[depth]
+        letter = 1 << self.letters[depth]
+        for target in targets:
+            new_max = max(max_state, target)
+            # too few steps remain to use lo states
+            if new_max >= self.q or new_max + self.n - depth < self.lo:
+                continue
+            self.counts[depth][new_max] += 1
+            old = self.labels[source][target]
+            rows = self.rows
+            self._set_label(source, target, old | letter)
+            self.path.append(target)
+            done = self._recount(source) and self._walk(depth + 1, new_max)
+            self.path.pop()
+            self.rows = rows
+            self._set_label(source, target, old)
+            if done:
+                return True
+        return False

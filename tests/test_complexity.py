@@ -164,6 +164,12 @@ def assert_matches_naive_oracle(w: Word) -> None:
     assert uniquely_accepts(bounded.witness, w), w
 
 
+def kernel_words() -> list[Word]:
+    """Seeded words of length 11, four on 2 letters and four on 3."""
+    rng = random.Random(8)
+    return [Word(tuple(rng.randrange(k) for _ in range(11)), k) for k in (2, 3) for _ in range(4)]
+
+
 def check_after_every_change(monkeypatch, check) -> None:
     """Decides seeded words of length 11 on 2 and 3 letters with
     check(search) run after every step that reaches _extend, committed or
@@ -177,9 +183,11 @@ def check_after_every_change(monkeypatch, check) -> None:
     checked = []
 
     def check_all(search):
-        for p in range(search.q):
+        # every state of the window: q drops below the states of a full path
+        states = range(len(search.labels))
+        for p in states:
             assert all(labels & (labels - 1) == 0 for labels in search.labels[p])
-            targets = sum(1 << t for t in range(search.q) if search.labels[p][t])
+            targets = sum(1 << t for t in states if search.labels[p][t])
             assert search.out_any[p] == targets
         assert not any(m2 >> s & 1 for (_, m2), s in zip(search.rows, search.path))
         check(search)
@@ -196,10 +204,8 @@ def check_after_every_change(monkeypatch, check) -> None:
 
     monkeypatch.setattr(acx.complexity._LevelSearch, "_extend", checked_extend)
     monkeypatch.setattr(acx.complexity._LevelSearch, "_retract", checked_retract)
-    rng = random.Random(8)
-    for k in (2, 3):
-        for _ in range(4):
-            an_exact(Word(tuple(rng.randrange(k) for _ in range(11)), k))
+    for w in kernel_words():
+        an_exact(w)
     assert max(checked) >= 5
 
 
@@ -221,8 +227,9 @@ class TestKernelInvariants:
     def test_in_any_follows_labels(self, monkeypatch):
         # in_any[t] is the set of sources with a letter into t
         def check(search):
-            for t in range(search.q):
-                sources = sum(1 << p for p in range(search.q) if search.labels[p][t])
+            states = range(len(search.labels))
+            for t in states:
+                sources = sum(1 << p for p in states if search.labels[p][t])
                 assert search.in_any[t] == sources
 
         check_after_every_change(monkeypatch, check)
@@ -235,6 +242,26 @@ class TestKernelInvariants:
             assert len(search.rows) == len(search.path)
 
         check_after_every_change(monkeypatch, check)
+
+    def test_bound_moves_only_at_a_full_path(self, monkeypatch):
+        # after every return of _walk, q is the window's top until a full
+        # path is found, and then the largest state of the last one
+        walk = acx.complexity._LevelSearch._walk
+        returns = []
+
+        def checked_walk(self, depth, max_state):
+            done = walk(self, depth, max_state)
+            top = len(self.labels)
+            assert self.q == (top if self.best is None else max(self.best))
+            returns.append((done, self.best is not None))
+            return done
+
+        monkeypatch.setattr(acx.complexity._LevelSearch, "_walk", checked_walk)
+        for w in kernel_words():
+            an_exact(w)
+        # walks that end at a path with lo states, and ones that go on past one
+        assert (True, True) in returns
+        assert (False, True) in returns
 
     def test_step_calls(self, monkeypatch):
         # most new edges are cut by the in_any test before any row is
@@ -291,10 +318,12 @@ def delta_words() -> list[Word]:
 
 
 class TestDeltaRows:
-    """The kernel, which adds a new transition's walks to the rows, walks
-    as FullRebuildSearch does, which recounts the rows in full: the same
-    witness path, node counts and final bound, in both orders and on the
-    windows of a bracket from level 1 and of Hyde's level alone."""
+    """The kernel, which cuts most new transitions by the in_any test and
+    adds a surviving one's walks to the rows, walks as FullRebuildSearch
+    does, which has its own walk and checks every step by recounting the
+    rows in full: the same witness path, node counts and final bound, in
+    both orders and on the windows of a bracket from level 1 and of Hyde's
+    level alone."""
 
     def test_same_walk_as_the_full_rebuild(self):
         walks = 0
@@ -663,9 +692,8 @@ def assert_agrees_without_a_dict(w: Word, result) -> None:
 class TestValuesOnlySweep:
     """A word that a sweep dict cannot bracket, such as any word of a fresh
     dict, has the bracket (1, hyde_bound(n)) and takes the walk of a call
-    without a dict: a full path lowers the bound to one state below its
-    own count, and a path of n - 1 steps with m + 1 states to m + 1, since
-    it plus one new final state is a witness."""
+    without a dict: only a full path lowers the bound, to one state below
+    its own count."""
 
     @given(
         st.integers(2, 3).flatmap(
@@ -697,7 +725,8 @@ class TestValuesOnlySweep:
 
     def test_prefix_case(self, level_searches):
         # level 1 cuts 0001 at its last letter, but the loop 0 -0-> 0 reads
-        # 000 with one walk; a new final state after it reads 0001
+        # 000 with one walk, and the walk over two states steps on 1 into
+        # the new state 1, which has no edges, so that step survives
         assert acx.complexity._search_level((0, 0, 0, 1), 1, 1, False)[0] is None
         del level_searches[:]
         result = an_exact(W("0001"), searches={})
@@ -727,15 +756,15 @@ class TestBoundedWalk:
         monkeypatch.setattr(acx.complexity._LevelSearch, "__init__", recording)
         acx.modular.exact_values_binary(8, {})
         # one walk per class; the level-by-level search made 266 walks of
-        # 20,956 nodes in all, and the walk in lexicographic order 15,613
-        assert (len(walks), nodes()) == (72, 12193)
-        assert nodes() < 15613 < 20956
+        # 20,956 nodes in all, and the walk in lexicographic order 15,622
+        assert (len(walks), nodes()) == (72, 12198)
+        assert nodes() < 15622 < 20956
         del walks[:]
         acx.experiments.survey(n=12, samples=200, seed=5, epsilon=Fraction(1, 3), k=3)
         # level by level: 1190 walks of 658,446 nodes in all; in
-        # lexicographic order, 450,711
-        assert (len(walks), nodes()) == (200, 417654)
-        assert nodes() < 450711 < 658446
+        # lexicographic order, 450,720
+        assert (len(walks), nodes()) == (200, 417659)
+        assert nodes() < 450720 < 658446
         del walks[:]
         # in the sweeps each walk searches one level, and trying new states
         # first reaches its first full path sooner; in lexicographic order
