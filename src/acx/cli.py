@@ -83,7 +83,7 @@ def _parse_word(text: str, alphabet: Optional[int]) -> words.Word:
 
 
 def _write_dot(path: Optional[str], automaton: nfa.Nfa) -> None:
-    if path:
+    if path is not None:
         text = nfa.to_dot(automaton)
         try:
             with open(path, "w") as handle:
@@ -226,7 +226,7 @@ def _cmd_construct(args) -> int:
         constraint, mode, fill=None if args.keep_wildcards else 0
     )
     _printable(witness.word)
-    if args.dot and len(witness.word):
+    if args.dot is not None:
         cycle = complexity.cyclic_witness(
             witness.word, Fraction(constraint.n, witness.modulus)
         )

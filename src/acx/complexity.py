@@ -115,21 +115,22 @@ class _LevelSearch:
     the window [lo, q] of state counts.  A ``least`` walk tries targets in
     increasing order; any other tries the new state first, then the
     existing states from the highest down, so that q drops sooner (see
-    _walk).  It prunes every target >= q and every path that can no longer
-    use lo states.  Only a full path moves q: it is kept as ``best`` and
-    sets q = m, its largest state, so once a path is found q = max(best).
-    A path with lo states, m < lo, ends the walk; with more, the walk goes
-    on for a witness with fewer states.  A path of n - 1 steps needs no
-    rule of its own: its step into a new state m + 1, which has no edges,
-    always survives, so the walk reaches that witness one step later.
-    With lo = q, the first full path ends the walk, which is one level's
-    search.  When the walk ends, every level from lo to q has been ruled
-    out, and ``best``, if any, has q + 1 states.
+    _walk).  It prunes only targets >= q.  ``lo`` is a proved lower bound
+    on A_N(w), as every caller passes.  Only a full path moves q: it is
+    kept as ``best`` and sets q = m, its largest state, so once a path is
+    found q = max(best).  A path with lo states, m < lo, ends the walk;
+    with more, the walk goes on for a witness with fewer states.  A path
+    of n - 1 steps needs no rule of its own: its step into a new state
+    m + 1, which has no edges, always survives, so the walk reaches that
+    witness one step later.  With lo = q, the first full path ends the
+    walk, which is one level's search.  When the walk ends, every level
+    from lo to q has been ruled out, and ``best``, if any, has q + 1
+    states.
 
-    ``counts[d][m]`` is the number of extensions examined from depth d
-    whose path then has largest state m.  Which are cut does not depend
-    on the window or on the order, so these counts also give the nodes of
-    each exhausted level's own search (level_nodes).
+    ``counts[m]`` is the number of extensions examined whose path then has
+    largest state m.  Which are cut does not depend on the window or on
+    the order, so these counts also give the nodes of each exhausted
+    level's own search (level_nodes).
     """
 
     __slots__ = (
@@ -148,7 +149,7 @@ class _LevelSearch:
         self.in_any = [0] * q
         self.rows: list[tuple[int, int]] = [(1, 0)]
         self.path: list[int] = [0]
-        self.counts = [[0] * q for _ in range(self.n)]
+        self.counts = [0] * q
         self.best: Optional[tuple[int, ...]] = None
 
     def _step(self, row: tuple[int, int]) -> tuple[int, int]:
@@ -273,9 +274,7 @@ class _LevelSearch:
             self.best = tuple(self.path)
             self.q = max_state
             return max_state < self.lo
-        # a target below floor leaves too few steps to use all lo states
-        floor = self.lo - self.n + depth
-        counts = self.counts[depth]
+        counts = self.counts
         reach = self.rows[-1][0]
         letter = 1 << self.letters[depth]
         edges = self.labels[self.path[depth]]
@@ -287,8 +286,6 @@ class _LevelSearch:
         for target in targets:
             new_max = max_state if target <= max_state else target
             if new_max >= self.q:
-                continue
-            if new_max < floor:
                 continue
             counts[new_max] += 1
             if not edges[target] & letter and reach & in_any[target]:
@@ -306,15 +303,11 @@ class _LevelSearch:
         """The nodes that the search of level s alone, lo = q = s, examines.
 
         Cuts do not depend on the window, so that search examines exactly
-        this walk's extensions from a depth d into a path with largest
-        state m < s that can still use s states, s <= m + n - d.  Exact
+        this walk's extensions into a path with largest state m < s.  Exact
         for each level from lo to q at the end of the walk: q never went
         below it, so the walk examined all of those extensions.
         """
-        n = self.n
-        return sum(
-            sum(row[max(0, s - n + depth):s]) for depth, row in enumerate(self.counts)
-        )
+        return sum(self.counts[:s])
 
 
 def _search_level(
@@ -322,15 +315,16 @@ def _search_level(
 ) -> tuple[Optional[tuple[int, ...]], list[int]]:
     """The one walk over [lo, q] states: its witness path and exhausted levels.
 
-    The path is the walk's last witness path, with the fewest states of any
-    path-induced witness with lo to q states, or None if there is none;
-    with lo = q and ``least`` it is the least full path with q states.
-    Without ``least`` the walk tries new states first (see
-    _LevelSearch._walk), and its path need not be the least.  The list
-    holds the node count of each level from lo to the walk's final q, one
-    below the path's state count (q itself if there is no path), as that
-    level's own search counts it; each of those levels is exhausted,
-    whatever the order.
+    ``lo`` is a proved lower bound on A_N of the word.  The path is the
+    walk's last witness path, with the fewest states of any path-induced
+    witness with lo to q states, or None if there is none; with lo = q
+    and ``least`` it is the least full path with q states.  Without
+    ``least`` the walk tries new states first (see _LevelSearch._walk),
+    and its path need not be the least.  The list holds the node count of
+    each level from lo to the walk's final q, one below the path's state
+    count (q itself if there is no path): exactly the nodes that the
+    search of that level alone examines.  Each of those levels is
+    exhausted, whatever the order.
     """
     search = _LevelSearch(letters, lo, q, least)
     search._walk(0, 0)
@@ -429,7 +423,8 @@ def an_exact(
     with m = n // 2.  Otherwise lo = 1 and hi = hyde_bound(n) with Hyde's
     path.  If lo < hi, one walk (see _LevelSearch) looks for a witness
     with lo to hi - 1 states: each full path it finds lowers the state
-    count it still looks for to one below its own.  The value is the state
+    count it still looks for to one below its own, and the walk prunes
+    only state indices at or above that count.  The value is the state
     count of its last witness, or hi, with hi's path, if it finds none.
     A bracket from the factors has hi <= lo + 1, so its walk is the
     search of level lo alone.

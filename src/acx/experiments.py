@@ -249,11 +249,16 @@ class SurveyReport:
 
 
 def worker_count(jobs: int) -> int:
-    """Worker processes to start for ``jobs``: at most one per CPU."""
+    """Worker processes to start for ``jobs``: at most one per CPU that
+    this process may run on."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    # os.cpu_count reads a system file; sequential callers need not ask
-    return 1 if jobs == 1 else min(jobs, os.cpu_count() or 1)
+    if jobs == 1:
+        # the CPU count reads a system file; sequential callers need not ask
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, len(os.sched_getaffinity(0)))
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _an_values(args: tuple[list[tuple[int, ...]], int]) -> list[int]:

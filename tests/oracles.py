@@ -181,9 +181,10 @@ class FullRebuildSearch:
     """The walk of _LevelSearch with every step checked by recounting rows.
 
     It enumerates the same canonical paths in the same order, under the
-    same window [lo, q], floor and ``counts``, and lowers q the same way,
-    at a full path only; ``best``, ``counts`` and ``q`` must come out as
-    the kernel's.  Its steps are checked without the kernel's shortcuts:
+    same window [lo, q], prunes only targets >= q, counts its extensions
+    by largest state in ``counts``, and lowers q the same way, at a full
+    path only; ``best``, ``counts`` and ``q`` must come out as the
+    kernel's.  Its steps are checked without the kernel's shortcuts:
     no in_any test and no O(1) test of the last row.  A step writes its
     letter into ``labels[p][t]``, a bitmask of letters, and every row from
     the first that reaches p to the new one is recounted over all the
@@ -205,7 +206,7 @@ class FullRebuildSearch:
         self.out_multi = [0] * q
         self.rows = [(1, 0)]
         self.path = [0]
-        self.counts = [[0] * q for _ in range(self.n)]
+        self.counts = [0] * q
         self.best = None
 
     def _set_label(self, p: int, t: int, letters: int) -> None:
@@ -261,10 +262,9 @@ class FullRebuildSearch:
         letter = 1 << self.letters[depth]
         for target in targets:
             new_max = max(max_state, target)
-            # too few steps remain to use lo states
-            if new_max >= self.q or new_max + self.n - depth < self.lo:
+            if new_max >= self.q:
                 continue
-            self.counts[depth][new_max] += 1
+            self.counts[new_max] += 1
             old = self.labels[source][target]
             rows = self.rows
             self._set_label(source, target, old | letter)

@@ -408,6 +408,10 @@ class TestDomainErrors:
             # list elements are integers of the same grammar as options
             ("construct", "--n", "4", "--positions", "\u0661", "--bits", "\u0661"),
             ("construct", "--n", "12", "--positions", " 1_0", "--bits", "1"),
+            # --dot names a file to write, even an empty path or for an
+            # empty word, which has no cycle witness
+            ("compute", "01", "--dot", ""),
+            ("construct", "--n", "0", "--positions", "", "--bits", "", "--dot", "F"),
         ],
     )
     def test_exit_one_with_error_line(self, capsys, argv):

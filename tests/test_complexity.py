@@ -263,6 +263,44 @@ class TestKernelInvariants:
         assert (True, True) in returns
         assert (False, True) in returns
 
+    def test_extended_paths_can_reach_the_value(self, monkeypatch):
+        # a path that survives d steps with largest state m witnesses
+        # A_N(w[:d]) <= m + 1, and one new final state per remaining letter
+        # gives A_N(w) <= m + 1 + n - d: so no walk meets a path below the
+        # floor A_N(w) - 1 - n + d, and the walk needs no prune for it
+        words = [l for n in range(9) for l in product((0, 1), repeat=n)]
+        words += [l for n in range(7) for l in product(range(3), repeat=n)]
+        value = {letters: an_exact(Word(letters, 3)).value for letters in words}
+        walk = acx.complexity._LevelSearch._walk
+        entries = []
+
+        def checked_walk(self, depth, max_state):
+            if depth < self.n:
+                assert max_state >= value[self.letters] - 1 - self.n + depth
+                entries.append(None)
+            return walk(self, depth, max_state)
+
+        monkeypatch.setattr(acx.complexity._LevelSearch, "_walk", checked_walk)
+        sweep = {}
+        for letters in words:
+            an_exact(Word(letters, 3))
+            an_exact(Word(letters, 3), searches=sweep)
+        assert len(entries) > 10000
+        monkeypatch.undo()
+        # so each exhausted level's count is what its own search examines
+        for letters in words:
+            if value[letters] == 1:
+                continue
+            for least in (True, False):
+                wide = acx.complexity._LevelSearch(letters, 1, hyde_bound(len(letters)) - 1, least)
+                wide._walk(0, 0)
+                for s in range(1, value[letters]):
+                    search = acx.complexity._LevelSearch(letters, s, s, least)
+                    search._walk(0, 0)
+                    assert search.best is None
+                    assert search.level_nodes(s) == sum(search.counts)
+                    assert wide.level_nodes(s) == sum(search.counts), (letters, s, least)
+
     def test_step_calls(self, monkeypatch):
         # most new edges are cut by the in_any test before any row is
         # recounted, and a new edge recounts rows up to depth from the
@@ -751,7 +789,7 @@ class TestBoundedWalk:
             walks.append(self)
 
         def nodes():
-            return sum(sum(map(sum, walk.counts)) for walk in walks)
+            return sum(sum(walk.counts) for walk in walks)
 
         monkeypatch.setattr(acx.complexity._LevelSearch, "__init__", recording)
         acx.modular.exact_values_binary(8, {})
@@ -858,15 +896,40 @@ def recording_executor(created: list):
     return RecordingExecutor
 
 
+def set_cpus(monkeypatch, affinity, cpu_count) -> None:
+    """The CPUs this process may run on, or None for a platform without
+    os.sched_getaffinity, and the machine's CPU count."""
+    if affinity is None:
+        monkeypatch.delattr(acx.experiments.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(
+            acx.experiments.os, "sched_getaffinity", lambda pid: set(affinity), raising=False
+        )
+    monkeypatch.setattr(acx.experiments.os, "cpu_count", lambda: cpu_count)
+
+
 class TestWorkerCount:
     def test_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(acx.experiments.os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, {0, 1}, 2)
         assert worker_count(1) == 1
         assert worker_count(2) == 2
         assert worker_count(64) == 2
 
+    def test_capped_at_the_affinity(self, monkeypatch):
+        # a process pinned to one CPU of eight, as under taskset -c 3
+        set_cpus(monkeypatch, {3}, 8)
+        assert worker_count(2) == 1
+        created = []
+        monkeypatch.setattr(acx.experiments, "ProcessPoolExecutor", recording_executor(created))
+        acx.experiments.survey(6, 4, 0, Fraction(1, 3), jobs=2)
+        assert created == []
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        set_cpus(monkeypatch, None, 2)
+        assert worker_count(64) == 2
+
     def test_unknown_cpu_count_means_one(self, monkeypatch):
-        monkeypatch.setattr(acx.experiments.os, "cpu_count", lambda: None)
+        set_cpus(monkeypatch, None, None)
         assert worker_count(8) == 1
 
     @pytest.mark.parametrize("jobs", [0, -1])
@@ -880,7 +943,7 @@ class TestWorkerCount:
 
     def test_pools_get_the_capped_count(self, monkeypatch):
         created = []
-        monkeypatch.setattr(acx.experiments.os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, {0, 1}, 2)
         monkeypatch.setattr(acx.experiments, "ProcessPoolExecutor", recording_executor(created))
         acx.experiments.survey(6, 4, 0, Fraction(1, 3), jobs=64)
         assert created == [2]
