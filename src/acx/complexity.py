@@ -27,8 +27,6 @@ from typing import Optional, Sequence
 from .nfa import Nfa, to_json_dict as nfa_json, uniquely_accepts
 from .words import Rational, Word, contains_alpha_power
 
-_OLD_EDGE = ("old",)
-
 
 def hyde_bound(n: int) -> int:
     """Universal upper bound floor(n/2) + 1 on A_N for words of length n."""
@@ -98,18 +96,15 @@ class _LevelSearch:
     walk if an earlier p already reached it, or if p itself has two walks.
     Reusing a transition appends one row.  A new transition is first tested
     in O(1) against ``in_any`` (see _walk), which cuts most of them.  For
-    one that passes, _extend sets only its bit of ``out_any``, leaves the
-    rows up to the first that reaches its source as they are, and copies
-    the rest into a fresh list with the walks that take the new transition
-    added: those are counted apart, in a capped pair of masks carried from
-    row to row, so a row costs a step of those few walks rather than of all
-    of them, and a row that none of them reaches is kept as it is.  The
-    copy stops at the first row with a second walk into the path, and a
-    cut clears the ``out_any`` bit again; ``labels`` and ``in_any`` are
-    written only when the edge survives.  The undo record keeps the old
-    list, so an undo restores it whole and clears the edge from all three.
-    Each cut is one that recomputing every row with the transition would
-    make, so the prune stays exact.
+    one that passes, _extend leaves the rows up to the first that reaches
+    its source as they are, and copies the rest into a fresh list with the
+    walks that take the new transition added: those are counted apart, in
+    a capped pair of masks carried from row to row, so a row costs a step
+    of those few walks rather than of all of them, and a row that none of
+    them reaches is kept as it is.  The copy stops at the first row with a
+    second walk into the path.  Each cut is one that recomputing every row
+    with the transition would make, so the prune stays exact.  Only _walk
+    changes this state: it commits each step and undoes it on return.
 
     The search runs in the calling process, as one depth-first walk over
     the window [lo, q] of state counts.  A ``least`` walk tries targets in
@@ -168,11 +163,12 @@ class _LevelSearch:
         return r1, r2
 
     def _extend(self, depth: int, target: int):
-        """Commit one step of the path; returns an undo record or None if pruned.
+        """The rows with the new transition path[depth] -> target, or None if cut.
 
-        A new transition source -> target reaches here only past the in_any
-        test of _walk: no state reached by a walk of length ``depth`` has
-        an edge into target.
+        The transition's bit of ``out_any`` is already set (see _walk); this
+        writes nothing.  It reaches here only past the in_any test of
+        _walk: no state reached by a walk of length ``depth`` has an edge
+        into target.
 
         The walks of each length i that take the new edge are counted in a
         capped pair (d1, d2): the pair for i - 1 stepped through the edges,
@@ -190,21 +186,10 @@ class _LevelSearch:
         meets in_any[target].
         """
         path = self.path
-        source = path[depth]
-        letter = 1 << self.letters[depth]
-        rows = self.rows
-        if self.labels[source][target] & letter:
-            row = self._step(rows[-1])
-            if (row[1] >> target) & 1:
-                return None
-            rows.append(row)
-            path.append(target)
-            return _OLD_EDGE
-        # source is in the last row, so source -> target has no letter yet
-        bit = 1 << source
+        bit = 1 << path[depth]
         target_bit = 1 << target
         out_any = self.out_any
-        out_any[source] |= target_bit
+        rows = self.rows
         first = 0
         while not rows[first][0] & bit:
             first += 1
@@ -231,32 +216,15 @@ class _LevelSearch:
             d2 = r2
             m1, m2 = row = rows[i]
             if (d1 >> path[i]) & 1:
-                out_any[source] &= ~target_bit
                 return None
             fresh.append((m1 | d1, m2 | d2 | (m1 & d1)) if d1 else row)
         if d1 & self.in_any[target]:
-            out_any[source] &= ~target_bit
             return None
         fresh.append(self._step(fresh[-1]))
-        self.labels[source][target] = letter
-        self.in_any[target] |= bit
-        path.append(target)
-        self.rows = fresh
-        return (source, target, rows)
-
-    def _retract(self, record) -> None:
-        self.path.pop()
-        if record is _OLD_EDGE:
-            self.rows.pop()
-            return
-        source, target, rows = record
-        self.rows = rows
-        self.labels[source][target] = 0
-        self.out_any[source] &= ~(1 << target)
-        self.in_any[target] &= ~(1 << source)
+        return fresh
 
     def _walk(self, depth: int, max_state: int) -> bool:
-        """Extend the path depth first.
+        """Extend the path depth first, committing and undoing every step.
 
         A least walk tries targets in increasing order, so it meets full
         paths in lexicographic order.  Any other walk tries the new state
@@ -265,19 +233,27 @@ class _LevelSearch:
         states ends the walk.  The extension into the endpoint already
         ruled out a second walk there.
 
-        A new transition source -> target is cut here, before _extend, when
-        a state reached by a walk of length ``depth`` already has an edge
-        into target: that walk and edge, and the path's own walk through
-        the new transition, are two walks of length depth + 1 into target.
+        A step on a committed transition appends one row, and is cut if it
+        has a second walk into target.  A new transition source -> target
+        is cut before _extend when a state reached by a walk of length
+        ``depth`` already has an edge into target: that walk and edge, and
+        the path's own walk through the new transition, are two walks of
+        length depth + 1 into target.  Its ``out_any`` bit is set for
+        _extend, and cleared again if _extend cuts it.
         """
         if depth == self.n:
             self.best = tuple(self.path)
             self.q = max_state
             return max_state < self.lo
         counts = self.counts
-        reach = self.rows[-1][0]
+        rows = self.rows
+        last = rows[-1]
+        path = self.path
+        source = path[depth]
+        source_bit = 1 << source
         letter = 1 << self.letters[depth]
-        edges = self.labels[self.path[depth]]
+        edges = self.labels[source]
+        out_any = self.out_any
         in_any = self.in_any
         if self.least:
             targets = range(max_state + 2)
@@ -288,13 +264,36 @@ class _LevelSearch:
             if new_max >= self.q:
                 continue
             counts[new_max] += 1
-            if not edges[target] & letter and reach & in_any[target]:
+            if edges[target] & letter:
+                row = self._step(last)
+                if (row[1] >> target) & 1:
+                    continue
+                rows.append(row)
+                path.append(target)
+                done = self._walk(depth + 1, new_max)
+                rows.pop()
+                path.pop()
+            elif last[0] & in_any[target]:
                 continue
-            record = self._extend(depth, target)
-            if record is None:
-                continue
-            done = self._walk(depth + 1, new_max)
-            self._retract(record)
+            else:
+                # source is in the last row, so past the in_any test
+                # source -> target has no letter yet
+                target_bit = 1 << target
+                out_any[source] |= target_bit
+                fresh = self._extend(depth, target)
+                if fresh is None:
+                    out_any[source] &= ~target_bit
+                    continue
+                edges[target] = letter
+                in_any[target] |= source_bit
+                path.append(target)
+                self.rows = fresh
+                done = self._walk(depth + 1, new_max)
+                self.rows = rows
+                path.pop()
+                edges[target] = 0
+                in_any[target] &= ~source_bit
+                out_any[source] &= ~target_bit
             if done:
                 return True
         return False

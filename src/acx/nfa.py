@@ -54,12 +54,17 @@ def uniquely_accepts(m: Nfa, w: Word) -> bool:
         if a >= m.k:
             raise ValueError(f"letter {a} outside the automaton alphabet [{m.k}]")
     q = m.q
-    by_letter = [0] * (q * m.k)
+    # masks only for the letters of some transition: the alphabet may be
+    # far larger than the automaton
+    by_letter = {}
     out_any = [0] * q
     out_multi = [0] * q
     for p, a, t in m.transitions:
         bit = 1 << t
-        by_letter[a * q + p] |= bit
+        spelled = by_letter.get(a)
+        if spelled is None:
+            spelled = by_letter[a] = [0] * q
+        spelled[p] |= bit
         # two letters from p to t are two walks
         out_multi[p] |= out_any[p] & bit
         out_any[p] |= bit
@@ -68,11 +73,13 @@ def uniquely_accepts(m: Nfa, w: Word) -> bool:
         finals |= 1 << f
     current = 1
     for a in letters:
-        base = a * q
+        spelled = by_letter.get(a)
+        if spelled is None:
+            return False
         reached = 0
         while current:
             low = current & -current
-            reached |= by_letter[base + low.bit_length() - 1]
+            reached |= spelled[low.bit_length() - 1]
             current ^= low
         if not reached:
             return False

@@ -193,6 +193,13 @@ class TestSurveyAndVerify:
         data = json.loads(first)
         assert data["samples"] == 30
 
+    def test_survey_on_a_huge_alphabet(self, capsys):
+        code, out, err = run(
+            capsys, "survey", "--n", "4", "--samples", "3", "--alphabet", "1000000000000", "--json"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["distribution"] == {"3/2": 1.0}
+
     def test_verify_paper(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "paper")
         assert code == 0

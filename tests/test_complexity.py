@@ -172,14 +172,13 @@ def kernel_words() -> list[Word]:
 
 def check_after_every_change(monkeypatch, check) -> None:
     """Decides seeded words of length 11 on 2 and 3 letters with
-    check(search) run after every step that reaches _extend, committed or
-    cut there, and after every undo; a step that the in_any test of _walk
-    cuts changes nothing and is not checked.  Every check also asserts
-    that each committed edge carries one letter, that out_any[p] is the
-    set of targets of p, and that no row has a second walk into the
-    path."""
-    extend = acx.complexity._LevelSearch._extend
-    retract = acx.complexity._LevelSearch._retract
+    check(search) run on every entry to _walk, after a step is committed,
+    and after every return, after it is undone; a step cut in _walk or in
+    _extend must leave the state as it was, which the next check sees.
+    Every check also asserts that each committed edge carries one letter,
+    that out_any[p] is the set of targets of p, and that no row has a
+    second walk into the path."""
+    walk = acx.complexity._LevelSearch._walk
     checked = []
 
     def check_all(search):
@@ -192,18 +191,14 @@ def check_after_every_change(monkeypatch, check) -> None:
         assert not any(m2 >> s & 1 for (_, m2), s in zip(search.rows, search.path))
         check(search)
 
-    def checked_extend(self, depth, target):
-        record = extend(self, depth, target)
+    def checked_walk(self, depth, max_state):
         check_all(self)
         checked.append(self.q)
-        return record
-
-    def checked_retract(self, record):
-        retract(self, record)
+        done = walk(self, depth, max_state)
         check_all(self)
+        return done
 
-    monkeypatch.setattr(acx.complexity._LevelSearch, "_extend", checked_extend)
-    monkeypatch.setattr(acx.complexity._LevelSearch, "_retract", checked_retract)
+    monkeypatch.setattr(acx.complexity._LevelSearch, "_walk", checked_walk)
     for w in kernel_words():
         an_exact(w)
     assert max(checked) >= 5
@@ -818,7 +813,8 @@ class TestBoundedWalk:
     def test_new_state_first_without_the_least_witness(self, monkeypatch):
         # from each node, a least walk tries targets in increasing order;
         # any other walk tries the new state first, then the existing
-        # states from the highest down
+        # states from the highest down.  _extend sees only the targets of
+        # new transitions that pass the in_any test, in that order
         extend = acx.complexity._LevelSearch._extend
         tried = {}
 

@@ -183,6 +183,13 @@ class TestUniqueAcceptance:
         with pytest.raises(ValueError, match=r"letter 1 outside the automaton alphabet \[1\]"):
             uniquely_accepts(m, W("01"))
 
+    def test_alphabet_far_larger_than_the_word(self):
+        # the masks follow the letters of the transitions, not the alphabet
+        k = 10**12
+        m = Nfa(q=2, k=k, transitions=frozenset({(0, k - 1, 1)}), finals=frozenset({1}))
+        assert uniquely_accepts(m, Word((k - 1,), k))
+        assert not uniquely_accepts(m, Word((k - 2,), k))
+
 
 def by_dynamic_program(m: Nfa, w: Word) -> bool:
     """Unique acceptance as the package first computed it: w is spelled into
