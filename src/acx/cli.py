@@ -155,6 +155,8 @@ def _cmd_simple(args) -> int:
 def _cmd_power(args) -> int:
     w = _parse_word(args.word, args.alphabet)
     spec = words.PowerSpec(w, args.exp)
+    if spec.length > _MAX_LETTERS:
+        raise ValueError(f"power builds at most {_MAX_LETTERS} letters")
     result = words.power(spec)
     if args.json:
         _emit_json({"base": str(w), "exponent": str(spec.exponent), "power": str(result)})
@@ -216,6 +218,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _cmd_construct(args) -> int:
+    if args.n > _MAX_LETTERS:
+        raise ValueError(f"construct builds at most {_MAX_LETTERS} letters, got --n {args.n}")
     positions = _parse_int_list(args.positions)
     bits = _parse_int_list(args.bits)
     constraint = modular.PositionConstraint(
@@ -257,6 +261,10 @@ def _cmd_table(args) -> int:
         print(modular.format_table(table), end="")
     return 0
 
+
+# the most letters power and construct build: construct peaks near 0.8 GB
+# at this length, and a longer word can exhaust memory
+_MAX_LETTERS = 10**7
 
 # the most digits primorial prints, Python's default int-to-str limit
 _PRIMORIAL_DIGITS = 4300

@@ -331,9 +331,7 @@ def _search_level(
 
 
 def _witness_from_path(word: Word, seq: tuple[int, ...], q: int) -> Nfa:
-    transitions = frozenset(
-        (seq[i], word.letters[i], seq[i + 1]) for i in range(len(word))
-    )
+    transitions = frozenset(zip(seq, word.letters, seq[1:]))
     return Nfa(q=q, k=word.k, transitions=transitions, finals=frozenset({seq[-1]}))
 
 
@@ -351,8 +349,8 @@ def _hyde_path(n: int) -> tuple[int, ...]:
 
 def _decide(
     searches: dict, letters: tuple[int, ...], least: bool
-) -> tuple[int, tuple[int, ...], int, str]:
-    """A word's value, path, nodes and mode, bracketed as an_exact says.
+) -> tuple[int, tuple[int, ...], SearchCertificate]:
+    """A word's value, path and certificate, bracketed as an_exact says.
 
     ``letters`` are renamed in order of first occurrence and not yet a key
     of ``searches``, so the empty word finds no mirror and no factors.
@@ -365,19 +363,22 @@ def _decide(
     mirror = searches.get(_renamed_in_order(letters[::-1]))
     if mirror is not None:
         # reversed, the mirror's path is a witness but need not be the least
-        q, seq, nodes, _ = mirror
-        return q, _renamed_in_order(seq[::-1]), nodes, "factor-bracket"
+        q, seq, certificate = mirror
+        return q, _renamed_in_order(seq[::-1]), SearchCertificate(
+            q - 1, certificate.search_nodes, "factor-bracket"
+        )
     n = len(letters)
     prefix = searches.get(letters[:-1])
     suffix = searches.get(_renamed_in_order(letters[1:]))
     if prefix is not None and suffix is not None:
         lo = max(prefix[0], suffix[0])
-        hi, path = min(
-            (prefix[0] + 1, prefix[1] + (prefix[0],)),
-            (suffix[0] + 1, (0,) + tuple(s + 1 for s in suffix[1])),
-            (hyde_bound(n), _hyde_path(n)),
-            key=lambda bound: bound[0],
-        )
+        hi = min(prefix[0] + 1, suffix[0] + 1, hyde_bound(n))
+        if hi == prefix[0] + 1:
+            path = prefix[1] + (prefix[0],)
+        elif hi == suffix[0] + 1:
+            path = (0,) + tuple(s + 1 for s in suffix[1])
+        else:
+            path = _hyde_path(n)
     else:
         lo, hi, path = 1, hyde_bound(n), _hyde_path(n)
     seq, levels = _search_level(letters, lo, hi - 1, least) if lo < hi else (None, [])
@@ -386,10 +387,12 @@ def _decide(
         seq = _search_level(letters, hi, hi, least)[0]
         if seq is None:
             raise RuntimeError(f"no witness with at most {hi} states, against Hyde's bound")
-    if seq is not None:
+    if seq is None:
+        q, seq, mode = hi, path, "path-induced" if hi == 1 else "factor-bracket"
+    else:
         # from level 1, every level below the witness was searched
-        return max(seq) + 1, seq, sum(levels), "path-induced" if lo == 1 else "factor-bracket"
-    return hi, path, sum(levels), "path-induced" if hi == 1 else "factor-bracket"
+        q, mode = max(seq) + 1, "path-induced" if lo == 1 else "factor-bracket"
+    return q, seq, SearchCertificate(q - 1, sum(levels), mode)
 
 
 def an_exact(
@@ -407,11 +410,12 @@ def an_exact(
 
     ``searches`` is a dict that the calls of one sweep share.  It maps a
     word's letters, renamed in order of first occurrence, to its value,
-    path, nodes and search mode: the search compares letters only for
-    equality, so a renaming takes the same path with the same node counts.
-    A word whose key is there takes that outcome, and a word whose
-    reversal, renamed, is there reads that path backwards, with the states
-    renamed in order of first occurrence (A_N(reverse w) = A_N(w)).
+    path and certificate, made once when the key is decided: the search
+    compares letters only for equality, so a renaming takes the same path
+    with the same node counts.  A word whose key is there takes that
+    outcome, certificate included, and a word whose reversal, renamed, is
+    there reads that path backwards, with the states renamed in order of
+    first occurrence (A_N(reverse w) = A_N(w)).
 
     Any other word gets a bracket lo <= A_N(w) <= hi with a path for hi.
     If both w[:-1] and w[1:] are in the dict, lo = max(A_N(w[:-1]),
@@ -419,14 +423,15 @@ def an_exact(
     by a path: A_N(w[:-1]) + 1, by the prefix's path plus one new final
     state; A_N(w[1:]) + 1, by a new initial state before the suffix's
     path; and hyde_bound(n), by Hyde's path 0, 1, ..., m, m, m - 1, ...
-    with m = n // 2.  Otherwise lo = 1 and hi = hyde_bound(n) with Hyde's
-    path.  If lo < hi, one walk (see _LevelSearch) looks for a witness
-    with lo to hi - 1 states: each full path it finds lowers the state
-    count it still looks for to one below its own, and the walk prunes
-    only state indices at or above that count.  The value is the state
-    count of its last witness, or hi, with hi's path, if it finds none.
-    A bracket from the factors has hi <= lo + 1, so its walk is the
-    search of level lo alone.
+    with m = n // 2.  A tie goes to the prefix, then to the suffix, then
+    to Hyde's bound, and only the chosen bound's path is built.  Otherwise
+    lo = 1 and hi = hyde_bound(n) with Hyde's path.  If lo < hi, one walk
+    (see _LevelSearch) looks for a witness with lo to hi - 1 states: each
+    full path it finds lowers the state count it still looks for to one
+    below its own, and the walk prunes only state indices at or above
+    that count.  The value is the state count of its last witness, or hi,
+    with hi's path, if it finds none.  A bracket from the factors has
+    hi <= lo + 1, so its walk is the search of level lo alone.
 
     Without ``searches``, the bracket is (1, hyde_bound(n)), and the walk
     tries targets in lexicographic order.  Until it finds a path with the
@@ -438,9 +443,9 @@ def an_exact(
     witness sooner; it exhausts the same levels with the same node counts.
 
     The witness is always built from the word's own letters and re-checked,
-    and the value and certificate of a ``"path-induced"`` result equal the
-    ones without a dict.  A result with a dict may have a witness other
-    than the least one.  A sweep in order
+    once per call, dict hits included, and the value and certificate of a
+    ``"path-induced"`` result equal the ones without a dict.  A result with
+    a dict may have a witness other than the least one.  A sweep in order
     of length finds every word's factors; callers that read only the value
     pass a fresh dict.  Pass a fresh dict per sweep, so that it is freed
     when the sweep returns.
@@ -454,15 +459,10 @@ def an_exact(
     found = searches.get(key)
     if found is None:
         found = searches[key] = _decide(searches, key, least)
-    q, seq, exhausted_nodes, mode = found
+    q, seq, certificate = found
     witness = _witness_from_path(word, seq, q)
     if not uniquely_accepts(witness, word):
         raise RuntimeError(f"search produced a bad witness for {word}")
-    certificate = SearchCertificate(
-        states_ruled_out=q - 1,
-        search_nodes=exhausted_nodes,
-        search_mode=mode,
-    )
     return ComplexityResult(value=q, witness=witness, certificate=certificate)
 
 

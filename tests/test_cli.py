@@ -57,6 +57,24 @@ class TestCompute:
         assert code == 0
         assert out.encode() == (GOLDEN / f"compute-{word}.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("table", "--max-c", "6", "--max-n", "8", "--json"), "table-max-c6-max-n8.json"),
+            (("verify", "--suite", "sandwich", "--n-max", "6"), "verify-sandwich-n-max6.txt"),
+            (
+                ("survey", "--n", "12", "--samples", "100", "--seed", "7", "--json"),
+                "survey-n12-samples100-seed7.json",
+            ),
+        ],
+    )
+    def test_sweep_output_equals_golden_output(self, capsys, argv, name):
+        # each sweep shares one dict across its words, so these pin the
+        # bracket and the dict entries as well as the search
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / name).read_bytes()
+
     def test_jobs_flag_matches_sequential(self, capsys):
         # the second word used to fan a level out to a process pool
         for word in ("010011010011", "111011111001001110"):
@@ -419,6 +437,9 @@ class TestDomainErrors:
             # empty word, which has no cycle witness
             ("compute", "01", "--dot", ""),
             ("construct", "--n", "0", "--positions", "", "--bits", "", "--dot", "F"),
+            # refused before a word of more than 10**7 letters is built
+            ("power", "01", "--exp", "1e400"),
+            ("construct", "--n", "1000000000000", "--positions", "0", "--bits", "1"),
         ],
     )
     def test_exit_one_with_error_line(self, capsys, argv):

@@ -569,6 +569,37 @@ class TestSharedSearch:
         acx.modular.table_best_bound(6, 8)
         assert len(level_searches) == 93
 
+    def test_one_recheck_per_word(self, monkeypatch):
+        # a word whose renaming or mirror is already in the dict still gets
+        # a witness from its own letters and its own re-check
+        checked = []
+        returned = []
+        recheck = acx.complexity.uniquely_accepts
+
+        def recording_recheck(witness, w):
+            checked.append((w, witness))
+            return recheck(witness, w)
+
+        def recording_an_exact(w, **kwargs):
+            result = an_exact(w, **kwargs)
+            returned.append(result.value)
+            return result
+
+        monkeypatch.setattr(acx.complexity, "uniquely_accepts", recording_recheck)
+        for module in (acx.experiments, acx.modular):
+            monkeypatch.setattr(module, "an_exact", recording_an_exact)
+        assert acx.experiments.sandwich_check(5).ok
+        acx.modular.table_best_bound(4, 7)
+        # exact_values_binary indexes a length's words by bitmask, LSB first
+        binary = [
+            Word(tuple((index >> i) & 1 for i in range(n)), 2)
+            for n in range(8)
+            for index in range(1 << n)
+        ]
+        assert len(checked) == 364 + 255
+        assert [w for w, _ in checked] == sweep(3, 5) + binary
+        assert [witness.q for _, witness in checked] == returned
+
 
 class TestFactorBracket:
     """The facts the bracket rests on, and the calls that take each of its
@@ -638,6 +669,23 @@ class TestFactorBracket:
             transitions={(p + 1, a, t + 1) for p, a, t in suffix.transitions} | {(0, 0, 1)},
             finals={f + 1 for f in suffix.finals},
         )
+
+    def test_suffix_bound_wins_a_tie_with_hyde(self, level_searches):
+        shared: dict = {}
+        for w in sweep(2, 2):
+            an_exact(w, searches=shared)
+        del level_searches[:]
+        # A_N(10) = 2 and A_N(00) = 1: lo = 2, the prefix bound is 3, and
+        # the suffix bound ties with hyde_bound(3) = 2; the tie goes to the
+        # suffix's path 0, 0, 0 after a new initial state, not Hyde's path
+        # 0, 1, 1, 0
+        result = an_exact(W("100"), searches=shared)
+        assert level_searches == []
+        assert result.value == 2
+        assert result.witness == Nfa(
+            q=2, k=2, transitions={(0, 1, 1), (1, 0, 1)}, finals={1}
+        )
+        assert result.certificate == SearchCertificate(1, 0, "factor-bracket")
 
     def test_hyde_path_is_uniquely_accepted(self):
         for k, n_max in ((2, 12), (3, 8)):
