@@ -262,8 +262,8 @@ def _cmd_table(args) -> int:
     return 0
 
 
-# the most letters power and construct build: construct peaks near 0.8 GB
-# at this length, and a longer word can exhaust memory
+# the most letters power and construct build: construct peaks near 181 MB
+# of resident memory at this length, which grows in proportion to it
 _MAX_LETTERS = 10**7
 
 # the most digits primorial prints, Python's default int-to-str limit

@@ -355,9 +355,9 @@ def _decide(
     ``letters`` are renamed in order of first occurrence and not yet a key
     of ``searches``, so the empty word finds no mirror and no factors.
     Each upper bound's path has one walk of the word's length to its end:
-    a new initial or final state has one edge, so it adds no walk to the
-    path it extends; Hyde's path ends at 0 for odd n and at 1 for even n,
-    so a walk there takes the loop at m an odd number of times, and three
+    a new final state has one edge into it, so it adds no walk to the
+    prefix's path; Hyde's path ends at 0 for odd n and at 1 for even n, so
+    a walk there takes the loop at m an odd number of times, and three
     passes need at least n + 2 steps.
     """
     mirror = searches.get(_renamed_in_order(letters[::-1]))
@@ -368,19 +368,13 @@ def _decide(
             q - 1, certificate.search_nodes, "factor-bracket"
         )
     n = len(letters)
+    lo, hi, path = 1, hyde_bound(n), _hyde_path(n)
     prefix = searches.get(letters[:-1])
     suffix = searches.get(_renamed_in_order(letters[1:]))
     if prefix is not None and suffix is not None:
         lo = max(prefix[0], suffix[0])
-        hi = min(prefix[0] + 1, suffix[0] + 1, hyde_bound(n))
-        if hi == prefix[0] + 1:
-            path = prefix[1] + (prefix[0],)
-        elif hi == suffix[0] + 1:
-            path = (0,) + tuple(s + 1 for s in suffix[1])
-        else:
-            path = _hyde_path(n)
-    else:
-        lo, hi, path = 1, hyde_bound(n), _hyde_path(n)
+        if prefix[0] < hi:
+            hi, path = prefix[0] + 1, prefix[1] + (prefix[0],)
     seq, levels = _search_level(letters, lo, hi - 1, least) if lo < hi else (None, [])
     if seq is None and least:
         # the value is Hyde's bound, and Hyde's path need not be the least
@@ -419,13 +413,11 @@ def an_exact(
 
     Any other word gets a bracket lo <= A_N(w) <= hi with a path for hi.
     If both w[:-1] and w[1:] are in the dict, lo = max(A_N(w[:-1]),
-    A_N(w[1:])) and hi is the least of three upper bounds, each attained
+    A_N(w[1:])) and hi is the lesser of two upper bounds, each attained
     by a path: A_N(w[:-1]) + 1, by the prefix's path plus one new final
-    state; A_N(w[1:]) + 1, by a new initial state before the suffix's
-    path; and hyde_bound(n), by Hyde's path 0, 1, ..., m, m, m - 1, ...
-    with m = n // 2.  A tie goes to the prefix, then to the suffix, then
-    to Hyde's bound, and only the chosen bound's path is built.  Otherwise
-    lo = 1 and hi = hyde_bound(n) with Hyde's path.  If lo < hi, one walk
+    state, and hyde_bound(n), by Hyde's path 0, 1, ..., m, m, m - 1, ...
+    with m = n // 2; a tie goes to the prefix.  Otherwise lo = 1 and
+    hi = hyde_bound(n) with Hyde's path.  If lo < hi, one walk
     (see _LevelSearch) looks for a witness with lo to hi - 1 states: each
     full path it finds lowers the state count it still looks for to one
     below its own, and the walk prunes only state indices at or above

@@ -253,9 +253,6 @@ def worker_count(jobs: int) -> int:
     this process may run on."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
-        # the CPU count reads a system file; sequential callers need not ask
-        return 1
     if hasattr(os, "sched_getaffinity"):
         return min(jobs, len(os.sched_getaffinity(0)))
     return min(jobs, os.cpu_count() or 1)

@@ -15,6 +15,9 @@ from typing import Iterator, Optional, Sequence, Union
 
 Rational = Union[int, str, Fraction]
 
+# the text of each letter below 10, shared by every word that prints it
+_DIGITS = tuple(str(a) for a in range(10))
+
 
 @dataclass(frozen=True)
 class Word:
@@ -44,13 +47,10 @@ class Word:
         return cls(tuple(letters), k)
 
     def __str__(self) -> str:
-        return "".join(str(a) for a in self.letters)
+        return "".join([_DIGITS[a] if a < 10 else str(a) for a in self.letters])
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -130,8 +130,8 @@ class TestAnExact:
         assert not isinstance(caught.value, ValueError)
 
     def test_bad_witness_is_caught_by_the_recheck(self, monkeypatch):
-        # a witness read from the dict (a mirror, prefix, suffix or Hyde
-        # path) is not searched, so only the re-check guards it: the loops
+        # a witness read from the dict (a mirror, prefix or Hyde path) is
+        # not searched, so only the re-check guards it: the loops
         # 0 -0-> 0 and 0 -1-> 0 read 0110 along 16 walks
         monkeypatch.setattr(acx.complexity, "_hyde_path", lambda n: (0,) * (n + 1))
         with pytest.raises(RuntimeError, match="bad witness"):
@@ -550,14 +550,28 @@ class TestSharedSearch:
                 assert result.certificate.search_mode == "factor-bracket", w
         assert len(shared) == searches
 
+    @pytest.mark.parametrize(
+        "k, n_max, nodes, ruled_out, path_induced, bracketed",
+        [(3, 6, 41790, 2622, 19, 1074), (2, 8, 32480, 1404, 17, 494)],
+    )
+    def test_certificate_sums(self, k, n_max, nodes, ruled_out, path_induced, bracketed):
+        # the certificates of one-dict sweeps, summed over every word
+        shared: dict = {}
+        certificates = [an_exact(w, searches=shared).certificate for w in sweep(k, n_max)]
+        assert sum(c.search_nodes for c in certificates) == nodes
+        assert sum(c.states_ruled_out for c in certificates) == ruled_out
+        modes = [c.search_mode for c in certificates]
+        assert modes.count("path-induced") == path_induced
+        assert modes.count("factor-bracket") == bracketed
+
     def test_sharing_lasts_one_sweep(self, level_searches):
         # all 1093 ternary words up to length 6, bracketed by their factors;
         # the empty word and the one-letter words have hyde_bound(n) = 1, so
         # they take Hyde's path with no walk
         assert acx.experiments.sandwich_check(6).ok
-        assert len(level_searches) == 80
+        assert len(level_searches) == 81
         assert acx.experiments.sandwich_check(6).ok
-        assert len(level_searches) == 2 * 80
+        assert len(level_searches) == 2 * 81
         del level_searches[:]
         acx.modular.exact_values_binary(8, {})
         # a fresh dict holds no factors of length 7, so each of the 72
@@ -567,7 +581,7 @@ class TestSharedSearch:
         # one dict across all lengths: every word of length n >= 1 finds
         # both its factors
         acx.modular.table_best_bound(6, 8)
-        assert len(level_searches) == 93
+        assert len(level_searches) == 111
 
     def test_one_recheck_per_word(self, monkeypatch):
         # a word whose renaming or mirror is already in the dict still gets
@@ -648,42 +662,36 @@ class TestFactorBracket:
         assert result.certificate.search_nodes == 0
         assert result.certificate.search_mode == "factor-bracket"
 
-    def test_suffix_bound_decides_without_a_search(self, level_searches):
+    def test_suffix_value_is_found_by_one_walk_at_lo(self, level_searches):
         shared: dict = {}
         for w in sweep(2, 5):
             an_exact(w, searches=shared)
         del level_searches[:]
-        # A_N(00101) = 3 = A_N(01010) + 1 and hyde_bound(6) = 4: the suffix
-        # bound meets lo, and a new initial state goes before its path
+        # A_N(01010) = 2, A_N(00101) = 3 = lo, and the prefix bound is 4:
+        # the suffix's value plus one meets lo, but no path is built from
+        # it, so the walk of level 3 alone finds a witness and rules out
+        # no level
         result = an_exact(W("001010"), searches=shared)
-        assert level_searches == []
+        assert level_searches == [((0, 0, 1, 0, 1, 0), 3, 3, False)]
         assert result.value == 3
+        assert result.witness.q == 3
         assert result.certificate == SearchCertificate(
             states_ruled_out=2, search_nodes=0, search_mode="factor-bracket"
         )
-        suffix = an_exact(W("01010"), searches=shared).witness
-        assert suffix.q == 2
-        assert result.witness == Nfa(
-            q=3,
-            k=2,
-            transitions={(p + 1, a, t + 1) for p, a, t in suffix.transitions} | {(0, 0, 1)},
-            finals={f + 1 for f in suffix.finals},
-        )
 
-    def test_suffix_bound_wins_a_tie_with_hyde(self, level_searches):
+    def test_hyde_path_when_the_prefix_bound_is_above_it(self, level_searches):
         shared: dict = {}
         for w in sweep(2, 2):
             an_exact(w, searches=shared)
         del level_searches[:]
-        # A_N(10) = 2 and A_N(00) = 1: lo = 2, the prefix bound is 3, and
-        # the suffix bound ties with hyde_bound(3) = 2; the tie goes to the
-        # suffix's path 0, 0, 0 after a new initial state, not Hyde's path
-        # 0, 1, 1, 0
+        # A_N(10) = 2 and A_N(00) = 1: lo = 2, and the prefix bound 3 is
+        # above hyde_bound(3) = 2, so no level is searched and the witness
+        # is Hyde's path 0, 1, 1, 0
         result = an_exact(W("100"), searches=shared)
         assert level_searches == []
         assert result.value == 2
         assert result.witness == Nfa(
-            q=2, k=2, transitions={(0, 1, 1), (1, 0, 1)}, finals={1}
+            q=2, k=2, transitions={(0, 1, 1), (1, 0, 1), (1, 0, 0)}, finals={0}
         )
         assert result.certificate == SearchCertificate(1, 0, "factor-bracket")
 
@@ -849,13 +857,14 @@ class TestBoundedWalk:
         del walks[:]
         # in the sweeps each walk searches one level, and trying new states
         # first reaches its first full path sooner; in lexicographic order
-        # they took 4,460 and 14,448 nodes
+        # they take 4,521 and 16,667 nodes (4,460 and 14,448 when a bound
+        # from the suffix decided some words without a walk)
         acx.experiments.sandwich_check(6)
-        assert (len(walks), nodes()) == (80, 4044)
+        assert (len(walks), nodes()) == (81, 4064)
         assert nodes() < 4460
         del walks[:]
         acx.modular.table_best_bound(6, 8)
-        assert (len(walks), nodes()) == (93, 9692)
+        assert (len(walks), nodes()) == (111, 9897)
         assert nodes() < 14448
 
     def test_new_state_first_without_the_least_witness(self, monkeypatch):
@@ -970,10 +979,12 @@ class TestWorkerCount:
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         set_cpus(monkeypatch, None, 2)
+        assert worker_count(1) == 1
         assert worker_count(64) == 2
 
     def test_unknown_cpu_count_means_one(self, monkeypatch):
         set_cpus(monkeypatch, None, None)
+        assert worker_count(1) == 1
         assert worker_count(8) == 1
 
     @pytest.mark.parametrize("jobs", [0, -1])

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +55,25 @@ class TestWord:
 
     def test_empty(self):
         assert len(W("", k=1)) == 0
+
+    def test_print_shares_the_digit_strings(self):
+        # a string per letter made 59 MB for a million binary letters; the
+        # shared digits need a list of pointers and the line itself
+        w = Word((0, 1) * 500_000, 2)
+        tracemalloc.start()
+        try:
+            text = str(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == "01" * 500_000
+        assert peak <= 15 * 2**20
+
+    def test_letters_from_ten_print_as_their_numbers(self):
+        assert str(Word((0, 11, 10, 3, 9), 12)) == "0111039"
+
+    def test_iterates_over_its_letters(self):
+        assert list(W("0120")) == [0, 1, 2, 0]
 
 
 class TestPower:
