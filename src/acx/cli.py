@@ -252,7 +252,7 @@ def _cmd_table(args) -> int:
             {
                 "max_c": args.max_c,
                 "max_n": args.max_n,
-                "table": [[v for v in row] for row in table],
+                "table": table,
             }
         )
     elif args.csv:

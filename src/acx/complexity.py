@@ -40,10 +40,11 @@ class SearchCertificate:
     """Evidence that every smaller state count was ruled out.
 
     search_mode ``"path-induced"`` means that one walk from level 1 ruled
-    out every level below the value and produced the witness, or that the
-    value is 1; without a dict, the witness is the least path of the value
-    level, and with one it may be another path of that level, found by a
-    walk that tries new states first.  ``"factor-bracket"`` means that in
+    out every level below the value and produced the witness, or, if the
+    value is Hyde's bound, that a search of that level alone produced it;
+    without a dict, the witness is the least path of the value level, and
+    with one it may be another path of that level, found by a walk that
+    tries new states first.  ``"factor-bracket"`` means that in
     a sweep (see an_exact) a proved bound ruled out some level, or fixed
     the value, without a search of that level; the witness is then still
     valid but need not be the least one.
@@ -341,24 +342,16 @@ def _renamed_in_order(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(names.setdefault(a, len(names)) for a in letters)
 
 
-def _hyde_path(n: int) -> tuple[int, ...]:
-    """Hyde's path of n steps, 0, 1, ..., m, m, m - 1, ... with m = n // 2."""
-    m = n // 2
-    return tuple(range(m + 1)) + tuple(range(m, 2 * m - n, -1))
-
-
 def _decide(
     searches: dict, letters: tuple[int, ...], least: bool
 ) -> tuple[int, tuple[int, ...], SearchCertificate]:
     """A word's value, path and certificate, bracketed as an_exact says.
 
     ``letters`` are renamed in order of first occurrence and not yet a key
-    of ``searches``, so the empty word finds no mirror and no factors.
-    Each upper bound's path has one walk of the word's length to its end:
-    a new final state has one edge into it, so it adds no walk to the
-    prefix's path; Hyde's path ends at 0 for odd n and at 1 for even n, so
-    a walk there takes the loop at m an odd number of times, and three
-    passes need at least n + 2 steps.
+    of ``searches``, so the empty word finds no mirror and no factors.  The
+    prefix's path plus a new final state has one walk of the word's length
+    to its end: the new state has one edge into it, so it adds no walk to
+    the prefix's path.
     """
     mirror = searches.get(_renamed_in_order(letters[::-1]))
     if mirror is not None:
@@ -367,26 +360,28 @@ def _decide(
         return q, _renamed_in_order(seq[::-1]), SearchCertificate(
             q - 1, certificate.search_nodes, "factor-bracket"
         )
-    n = len(letters)
-    lo, hi, path = 1, hyde_bound(n), _hyde_path(n)
+    lo, hi, path = 1, hyde_bound(len(letters)), None
     prefix = searches.get(letters[:-1])
     suffix = searches.get(_renamed_in_order(letters[1:]))
     if prefix is not None and suffix is not None:
-        lo = max(prefix[0], suffix[0])
-        if prefix[0] < hi:
-            hi, path = prefix[0] + 1, prefix[1] + (prefix[0],)
+        lo, hi, path = max(prefix[0], suffix[0]), prefix[0] + 1, prefix[1] + (prefix[0],)
     seq, levels = _search_level(letters, lo, hi - 1, least) if lo < hi else (None, [])
-    if seq is None and least:
-        # the value is Hyde's bound, and Hyde's path need not be the least
+    if seq is None and path is None:
+        # the value is Hyde's bound, which always admits a witness
         seq = _search_level(letters, hi, hi, least)[0]
         if seq is None:
             raise RuntimeError(f"no witness with at most {hi} states, against Hyde's bound")
     if seq is None:
-        q, seq, mode = hi, path, "path-induced" if hi == 1 else "factor-bracket"
+        q, seq, mode = hi, path, "factor-bracket"
     else:
         # from level 1, every level below the witness was searched
         q, mode = max(seq) + 1, "path-induced" if lo == 1 else "factor-bracket"
     return q, seq, SearchCertificate(q - 1, sum(levels), mode)
+
+
+# the longest word an_exact searches: the walk recurses once per letter, and
+# near 980 letters it meets Python's default recursion limit of 1000
+MAX_LENGTH = 900
 
 
 def an_exact(
@@ -398,9 +393,10 @@ def an_exact(
     """Exact A_N with a uniquely-accepting witness and exhaustion certificate.
 
     The value is the least state count with a witness; Hyde's bound
-    floor(n/2)+1 always admits one.  The search runs in the calling
-    process.  ``jobs`` raises ValueError below 1 and changes nothing else:
-    parallelism is across words, in survey.
+    floor(n/2)+1 always admits one.  A word longer than MAX_LENGTH raises
+    ValueError.  The search runs in the calling process.  ``jobs`` raises
+    ValueError below 1 and changes nothing else: parallelism is across
+    words, in survey.
 
     ``searches`` is a dict that the calls of one sweep share.  It maps a
     word's letters, renamed in order of first occurrence, to its value,
@@ -411,28 +407,27 @@ def an_exact(
     there reads that path backwards, with the states renamed in order of
     first occurrence (A_N(reverse w) = A_N(w)).
 
-    Any other word gets a bracket lo <= A_N(w) <= hi with a path for hi.
-    If both w[:-1] and w[1:] are in the dict, lo = max(A_N(w[:-1]),
-    A_N(w[1:])) and hi is the lesser of two upper bounds, each attained
-    by a path: A_N(w[:-1]) + 1, by the prefix's path plus one new final
-    state, and hyde_bound(n), by Hyde's path 0, 1, ..., m, m, m - 1, ...
-    with m = n // 2; a tie goes to the prefix.  Otherwise lo = 1 and
-    hi = hyde_bound(n) with Hyde's path.  If lo < hi, one walk
+    Any other word gets a bracket lo <= A_N(w) <= hi.  If both w[:-1] and
+    w[1:] are in the dict, lo = max(A_N(w[:-1]), A_N(w[1:])) and
+    hi = A_N(w[:-1]) + 1, attained by the prefix's path plus one new final
+    state.  Otherwise lo = 1 and hi = hyde_bound(n).  If lo < hi, one walk
     (see _LevelSearch) looks for a witness with lo to hi - 1 states: each
     full path it finds lowers the state count it still looks for to one
     below its own, and the walk prunes only state indices at or above
-    that count.  The value is the state count of its last witness, or hi,
-    with hi's path, if it finds none.  A bracket from the factors has
-    hi <= lo + 1, so its walk is the search of level lo alone.
+    that count.  The value is the state count of its last witness.  If it
+    finds none, the value is hi: a bracket from the factors takes the
+    prefix's path, and any other word searches Hyde's level alone for a
+    path.  A bracket from the factors has hi <= lo + 1, so its walk is the
+    search of level lo alone.
 
-    Without ``searches``, the bracket is (1, hyde_bound(n)), and the walk
-    tries targets in lexicographic order.  Until it finds a path with the
-    value's state count, it looks for one with at least that many, so the
-    first it finds is the lexicographically least canonical state sequence
-    of that count, which is the witness.  If it finds none, Hyde's level
-    alone is searched for its least path.  With ``searches``, the walk
-    tries the new state first (see _LevelSearch._walk), which reaches a
-    witness sooner; it exhausts the same levels with the same node counts.
+    Without ``searches``, the walks try targets in lexicographic order.
+    Until the walk finds a path with the value's state count, it looks for
+    one with at least that many, so the first it finds is the
+    lexicographically least canonical state sequence of that count, which
+    is the witness; so is the least path of Hyde's level.  With
+    ``searches``, the walks try the new state first (see
+    _LevelSearch._walk), which reaches a witness sooner; they exhaust the
+    same levels with the same node counts.
 
     The witness is always built from the word's own letters and re-checked,
     once per call, dict hits included, and the value and certificate of a
@@ -444,6 +439,10 @@ def an_exact(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if len(word) > MAX_LENGTH:
+        raise ValueError(
+            f"an_exact searches words of at most {MAX_LENGTH} letters, got {len(word)}"
+        )
     least = searches is None
     if least:
         searches = {}

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .complexity import ORACLE_Q_MAX, an_exact, full_enumeration_minima, hyde_bound
+from .complexity import MAX_LENGTH, ORACLE_Q_MAX, an_exact, full_enumeration_minima, hyde_bound
 from .nfa import Nfa, uniquely_accepts
 from .words import (
     Rational,
@@ -280,11 +280,15 @@ def survey(
     values are aggregated by index.  The words of one chunk, or of the
     whole stream when there is one worker, share one an_exact sweep dict,
     so a word renamed or reversed from an earlier one takes its value, and
-    any other word is decided by one walk below Hyde's bound.  A value
-    does not depend on the dict.
+    any other word is decided by one walk below Hyde's bound, or, if that
+    walk finds nothing, by a search of Hyde's level alone.  A value does
+    not depend on the dict.  n is at most an_exact's MAX_LENGTH.
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
+    if n > MAX_LENGTH:
+        # refused before the samples are drawn
+        raise ValueError(f"an_exact searches words of at most {MAX_LENGTH} letters, got n = {n}")
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be above 0, got {epsilon}")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acx.cli import build_parser, main
+from acx.complexity import MAX_LENGTH
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -440,6 +441,12 @@ class TestDomainErrors:
             # refused before a word of more than 10**7 letters is built
             ("power", "01", "--exp", "1e400"),
             ("construct", "--n", "1000000000000", "--positions", "0", "--bits", "1"),
+            # refused before the search's recursion reaches Python's limit
+            ("classify", "0" * (MAX_LENGTH + 1), "--c", "2"),
+            ("simple", "0" * (MAX_LENGTH + 1)),
+            ("survey", "--n", str(MAX_LENGTH + 1), "--samples", "1", "--alphabet", "1"),
+            # refused before its 10**12 letters are drawn
+            ("survey", "--n", "1000000000000", "--samples", "1"),
         ],
     )
     def test_exit_one_with_error_line(self, capsys, argv):
@@ -447,6 +454,19 @@ class TestDomainErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_compute_above_the_length_cap(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "acx", "compute", "0" * (MAX_LENGTH + 1)],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and f"{MAX_LENGTH} letters" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_primorial_digit_limit(self, capsys):
         code, out, _ = run(capsys, "primorial", "10006")

@@ -120,6 +120,18 @@ class TestAnExact:
         parallel = an_exact(w, jobs=2)
         assert sequential == parallel
 
+    def test_length_cap(self):
+        # the walk recurses once per letter, so the cap keeps it below
+        # Python's recursion limit
+        cap = acx.complexity.MAX_LENGTH
+        result = an_exact(Word((0,) * cap, 1))
+        assert result.value == 1
+        assert result.certificate == SearchCertificate(0, 0, "path-induced")
+        with pytest.raises(ValueError, match=f"at most {cap} letters"):
+            an_exact(Word((0,) * (cap + 1), 1))
+        with pytest.raises(ValueError, match=f"at most {cap} letters"):
+            an_exact(Word((0,) * (cap + 1), 1), searches={})
+
     def test_no_witness_is_a_fault_not_a_domain_error(self, monkeypatch):
         # Hyde's bound guarantees a witness, so a search without one is broken
         monkeypatch.setattr(
@@ -130,10 +142,14 @@ class TestAnExact:
         assert not isinstance(caught.value, ValueError)
 
     def test_bad_witness_is_caught_by_the_recheck(self, monkeypatch):
-        # a witness read from the dict (a mirror, prefix or Hyde path) is
-        # not searched, so only the re-check guards it: the loops
-        # 0 -0-> 0 and 0 -1-> 0 read 0110 along 16 walks
-        monkeypatch.setattr(acx.complexity, "_hyde_path", lambda n: (0,) * (n + 1))
+        # only the re-check guards the path a search returns, or one read
+        # from the dict (a mirror or prefix path): the loops 0 -0-> 0 and
+        # 0 -1-> 0 read 0110 along 16 walks
+        monkeypatch.setattr(
+            acx.complexity,
+            "_search_level",
+            lambda letters, lo, q, least: ((0,) * (len(letters) + 1), []),
+        )
         with pytest.raises(RuntimeError, match="bad witness"):
             an_exact(W("0110"), searches={})
 
@@ -566,22 +582,25 @@ class TestSharedSearch:
 
     def test_sharing_lasts_one_sweep(self, level_searches):
         # all 1093 ternary words up to length 6, bracketed by their factors;
-        # the empty word and the one-letter words have hyde_bound(n) = 1, so
-        # they take Hyde's path with no walk
+        # the empty word has none, so it searches level hyde_bound(0) = 1
+        # alone; 19 classes of odd length, whose prefix value is Hyde's
+        # bound, search level lo = Hyde's bound alone (none did before)
         assert acx.experiments.sandwich_check(6).ok
-        assert len(level_searches) == 81
+        assert len(level_searches) == 101
         assert acx.experiments.sandwich_check(6).ok
-        assert len(level_searches) == 2 * 81
+        assert len(level_searches) == 2 * 101
         del level_searches[:]
         acx.modular.exact_values_binary(8, {})
         # a fresh dict holds no factors of length 7, so each of the 72
-        # classes is decided by one bounded walk (266 level searches before)
-        assert len(level_searches) == 72
+        # classes is decided by one bounded walk (266 level searches before),
+        # and the 27 whose walk finds nothing search Hyde's level alone
+        assert len({args[0] for args in level_searches}) == 72
+        assert len(level_searches) == 72 + 27
         del level_searches[:]
         # one dict across all lengths: every word of length n >= 1 finds
         # both its factors
         acx.modular.table_best_bound(6, 8)
-        assert len(level_searches) == 111
+        assert len(level_searches) == 138
 
     def test_one_recheck_per_word(self, monkeypatch):
         # a word whose renaming or mirror is already in the dict still gets
@@ -651,10 +670,10 @@ class TestFactorBracket:
             an_exact(w, searches=shared)
         del level_searches[:]
         # A_N(01) + 1 = A_N(10) + 1 = 3 > hyde_bound(3) = 2, and
-        # A_N(01) = A_N(10) = 2: no level is searched, and the witness is
-        # Hyde's path 0, 1, 1, 0
+        # A_N(01) = A_N(10) = 2: the walk of level 2 alone finds the witness
+        # 0, 1, 1, 0 and rules out no level
         result = an_exact(W("010"), searches=shared)
-        assert level_searches == []
+        assert level_searches == [((0, 1, 0), 2, 2, False)]
         assert result.value == 2
         assert result.witness == Nfa(
             q=2, k=2, transitions={(0, 0, 1), (1, 1, 1), (1, 0, 0)}, finals={0}
@@ -679,32 +698,19 @@ class TestFactorBracket:
             states_ruled_out=2, search_nodes=0, search_mode="factor-bracket"
         )
 
-    def test_hyde_path_when_the_prefix_bound_is_above_it(self, level_searches):
+    def test_prefix_bound_above_hyde_bound(self, level_searches):
         shared: dict = {}
         for w in sweep(2, 2):
             an_exact(w, searches=shared)
         del level_searches[:]
         # A_N(10) = 2 and A_N(00) = 1: lo = 2, and the prefix bound 3 is
-        # above hyde_bound(3) = 2, so no level is searched and the witness
-        # is Hyde's path 0, 1, 1, 0
+        # above hyde_bound(3) = 2, so the walk of level 2 alone finds the
+        # witness 0, 1, 1, 1, new state first, and rules out no level
         result = an_exact(W("100"), searches=shared)
-        assert level_searches == []
+        assert level_searches == [((0, 1, 1), 2, 2, False)]
         assert result.value == 2
-        assert result.witness == Nfa(
-            q=2, k=2, transitions={(0, 1, 1), (1, 0, 1), (1, 0, 0)}, finals={0}
-        )
+        assert result.witness == Nfa(q=2, k=2, transitions={(0, 1, 1), (1, 0, 1)}, finals={1})
         assert result.certificate == SearchCertificate(1, 0, "factor-bracket")
-
-    def test_hyde_path_is_uniquely_accepted(self):
-        for k, n_max in ((2, 12), (3, 8)):
-            for w in sweep(k, n_max):
-                n = len(w)
-                path = acx.complexity._hyde_path(n)
-                assert len(path) == n + 1
-                # it ends at 0 for odd n and at 1 for even n >= 2
-                assert path[-1] == (n + 1) % 2 or n == 0
-                witness = acx.complexity._witness_from_path(w, path, hyde_bound(n))
-                assert uniquely_accepts(witness, w), w
 
     def test_exhausted_level_gives_prefix_path_plus_one(self):
         shared: dict = {}
@@ -731,14 +737,14 @@ class TestFactorBracket:
         an_exact(W("001"), searches=shared)
         del level_searches[:]
         result = an_exact(W("0110"), searches=shared)
-        assert level_searches == [((0, 1, 1, 0), 1, 2, False)]
+        assert level_searches == [((0, 1, 1, 0), 1, 2, False), ((0, 1, 1, 0), 3, 3, False)]
         assert result.value == 3
         assert_agrees_without_a_dict(W("0110"), result)
 
     def test_mirror_witness(self):
         shared: dict = {}
-        mirror = an_exact(W("0100"), searches=shared)
-        result = an_exact(W("0010"), searches=shared)
+        mirror = an_exact(W("0010"), searches=shared)
+        result = an_exact(W("0100"), searches=shared)
         assert result.value == mirror.value == 3
         assert result.certificate == SearchCertificate(
             states_ruled_out=2,
@@ -746,43 +752,31 @@ class TestFactorBracket:
             search_mode="factor-bracket",
         )
         assert renamed_states(reversed_witness(mirror.witness), result.witness)
-        assert uniquely_accepts(result.witness, W("0010"))
-        # the mirror's path is not the least one for 0010
-        assert result.witness != an_exact(W("0010")).witness
+        assert uniquely_accepts(result.witness, W("0100"))
+        # the mirror's path is not the least one for 0100
+        assert result.witness != an_exact(W("0100")).witness
 
 
 def assert_agrees_without_a_dict(w: Word, result) -> None:
     """``result``, decided with the bracket (1, hyde_bound(n)), against the
-    call without a dict: the same value and certificate below Hyde's bound,
-    with a witness that the naive oracles accept, and at it the same value
-    and nodes with Hyde's path, which need not be the least."""
+    call without a dict: the same value and certificate, with a witness
+    that the naive oracles accept."""
     unshared = an_exact(w)
-    n = len(w)
-    if unshared.value < hyde_bound(n) or unshared.value == 1:
-        assert result.value == unshared.value, w
-        assert result.certificate == unshared.certificate, w
-        # the walk tries new states first, so its witness need not be the
-        # least; the oracles check it without the library's re-check
-        assert result.witness.q == result.value, w
-        assert accepts_spelling(result.witness, w), w
-        assert count_length_n_accepting_paths(result.witness, n) == 1, w
-        return
     assert result.value == unshared.value, w
-    assert result.witness == acx.complexity._witness_from_path(
-        w, acx.complexity._hyde_path(n), result.value
-    ), w
-    assert result.certificate == SearchCertificate(
-        states_ruled_out=result.value - 1,
-        search_nodes=unshared.certificate.search_nodes,
-        search_mode="factor-bracket",
-    ), w
+    assert result.certificate == unshared.certificate, w
+    # the walks try new states first, so the witness need not be the
+    # least; the oracles check it without the library's re-check
+    assert result.witness.q == result.value, w
+    assert accepts_spelling(result.witness, w), w
+    assert count_length_n_accepting_paths(result.witness, len(w)) == 1, w
 
 
 class TestValuesOnlySweep:
     """A word that a sweep dict cannot bracket, such as any word of a fresh
-    dict, has the bracket (1, hyde_bound(n)) and takes the walk of a call
+    dict, has the bracket (1, hyde_bound(n)) and takes the walks of a call
     without a dict: only a full path lowers the bound, to one state below
-    its own count."""
+    its own count, and Hyde's level alone is searched if the walk below it
+    finds nothing."""
 
     @given(
         st.integers(2, 3).flatmap(
@@ -804,11 +798,12 @@ class TestValuesOnlySweep:
     def test_hyde_case(self, level_searches):
         w = W("0110")
         result = an_exact(w, searches={})
-        # the walk below hyde_bound(4) = 3 finds no witness with 2 states
-        assert level_searches == [((0, 1, 1, 0), 1, 2, False)]
+        # the walk below hyde_bound(4) = 3 finds no witness with 2 states,
+        # and the search of level 3 alone, new state first, finds one
+        assert level_searches == [((0, 1, 1, 0), 1, 2, False), ((0, 1, 1, 0), 3, 3, False)]
         assert result.value == hyde_bound(4) == 3
-        path = acx.complexity._hyde_path(4)
-        assert result.witness == acx.complexity._witness_from_path(w, path, 3)
+        assert result.witness == acx.complexity._witness_from_path(w, (0, 1, 2, 2, 1), 3)
+        assert result.certificate == SearchCertificate(2, 18, "path-induced")
         assert uniquely_accepts(result.witness, w)
         assert_agrees_without_a_dict(w, result)
 
@@ -844,15 +839,16 @@ class TestBoundedWalk:
 
         monkeypatch.setattr(acx.complexity._LevelSearch, "__init__", recording)
         acx.modular.exact_values_binary(8, {})
-        # one walk per class; the level-by-level search made 266 walks of
-        # 20,956 nodes in all, and the walk in lexicographic order 15,622
-        assert (len(walks), nodes()) == (72, 12198)
+        # one walk per class, and one search of Hyde's level alone per class
+        # whose walk finds nothing; the level-by-level search made 266 walks
+        # of 20,956 nodes in all, and the walk in lexicographic order 15,622
+        assert (len(walks), nodes()) == (99, 12516)
         assert nodes() < 15622 < 20956
         del walks[:]
         acx.experiments.survey(n=12, samples=200, seed=5, epsilon=Fraction(1, 3), k=3)
         # level by level: 1190 walks of 658,446 nodes in all; in
         # lexicographic order, 450,720
-        assert (len(walks), nodes()) == (200, 417659)
+        assert (len(walks), nodes()) == (364, 423619)
         assert nodes() < 450720 < 658446
         del walks[:]
         # in the sweeps each walk searches one level, and trying new states
@@ -860,11 +856,11 @@ class TestBoundedWalk:
         # they take 4,521 and 16,667 nodes (4,460 and 14,448 when a bound
         # from the suffix decided some words without a walk)
         acx.experiments.sandwich_check(6)
-        assert (len(walks), nodes()) == (81, 4064)
+        assert (len(walks), nodes()) == (101, 4197)
         assert nodes() < 4460
         del walks[:]
         acx.modular.table_best_bound(6, 8)
-        assert (len(walks), nodes()) == (111, 9897)
+        assert (len(walks), nodes()) == (138, 10149)
         assert nodes() < 14448
 
     def test_new_state_first_without_the_least_witness(self, monkeypatch):
@@ -896,15 +892,14 @@ class TestBoundedWalk:
 
     @pytest.mark.parametrize("text", ["", "0", "1"])
     def test_no_walk_below_one_state(self, level_searches, text):
-        # hyde_bound(n) = 1 for n <= 1, so the bracket is (1, 1); Hyde's
-        # path is the witness
+        # hyde_bound(n) = 1 for n <= 1, so the bracket is (1, 1), and the
+        # search of level 1 alone finds the witness
         w = W(text, k=2)
         result = an_exact(w, searches={})
-        assert level_searches == []
+        assert level_searches == [((0,) * len(w), 1, 1, False)]
         assert result.value == 1
-        assert result.witness == acx.complexity._witness_from_path(
-            w, acx.complexity._hyde_path(len(w)), 1
-        )
+        assert result.witness == acx.complexity._witness_from_path(w, (0,) * (len(w) + 1), 1)
+        assert result.certificate == SearchCertificate(0, 0, "path-induced")
         assert uniquely_accepts(result.witness, w)
         assert_agrees_without_a_dict(w, result)
 

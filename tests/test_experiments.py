@@ -148,9 +148,10 @@ class TestSurvey:
         monkeypatch.setattr(acx.complexity, "_search_level", counting)
         sequential = survey(n=8, samples=1000, seed=2026, epsilon=Fraction(1, 3))
         # the 1000 samples fall into 72 classes under renaming and reversal,
-        # and each class is decided by one walk
+        # and each class is decided by one walk; the 27 whose walk finds
+        # nothing then search Hyde's level alone
         assert len({args[0] for args in calls}) == 72
-        assert len(calls) == 72
+        assert len(calls) == 72 + 27
         monkeypatch.undo()
         parallel = survey(n=8, samples=1000, seed=2026, epsilon=Fraction(1, 3), jobs=2)
         assert parallel == sequential
