@@ -16,16 +16,39 @@ sequence when the least witness is wanted, and a prefix is cut as soon as
 the committed transitions admit two walks of the prefix length into the
 current state, because any such duplicate extends along the committed
 path suffix into a second accepting walk.  All comparisons are exact integer arithmetic.
+
+The walk runs compiled: _walk.c, plain C99, beside this file.  Importing
+this module builds it once with the C compiler that built Python, into a
+shared library under $XDG_CACHE_HOME/acx (by default ~/.cache/acx) named by
+the SHA-256 of the source and the compiler command, and loads it through
+ctypes; a failed build raises ImportError.  Its reference is the same walk
+in Python, ReferenceSearch in tests/oracles.py, which the tests require it
+to equal extension for extension.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .nfa import Nfa, to_json_dict as nfa_json, uniquely_accepts
 from .words import Rational, Word, contains_alpha_power
+
+# CPython's own SHA-256, for the library's name: hashlib's would load
+# OpenSSL, which adds 3.6 MB to the peak memory of every process
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    from _sha256 import sha256  # Python 3.10 and 3.11
 
 
 def hyde_bound(n: int) -> int:
@@ -51,7 +74,7 @@ class SearchCertificate:
 
     search_nodes is the sum, over the levels that were searched and ruled
     out, of the nodes that the search of that level alone examines (see
-    _LevelSearch.level_nodes), whatever order the walk tried its targets
+    _walk), whatever order the walk tried its targets
     in; a result read from the word's mirror carries the mirror's count.
     """
 
@@ -81,233 +104,89 @@ class ComplexityResult:
         }
 
 
-class _LevelSearch:
-    """Depth-first scan of canonical path candidates with lo to q states.
+def load_walk(command: Sequence[str], cache: Path) -> ctypes.CDLL:
+    """The compiled walk of _walk.c, built by ``command`` into ``cache`` once.
 
-    The committed transitions are held once, as ``labels[p][t]``: the
-    letter bit of the edge p -> t, or 0, which also answers whether a step
-    reuses a committed transition.  A committed edge carries exactly one
-    letter: a second letter on p -> t is cut by the in_any test (see
-    _walk), since the path is at p.  Two masks follow it: ``out_any[p]``,
-    the targets of p, and ``in_any[t]``, the sources into t.
+    The library's file name is the SHA-256 of the source and the command, so
+    each version of either is built once.  A build writes a temporary file
+    in ``cache``, made with mode 0700 if missing, and renames it into place,
+    so that processes building at once never load a partial file.  A
+    failed build raises ImportError with the command and the compiler's
+    stderr.
+    """
+    source = Path(__file__).with_name("_walk.c")
+    key = sha256(source.read_bytes())
+    key.update("\0".join(command).encode())
+    library = cache / f"walk-{key.hexdigest()}.so"
+    if not library.exists():
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, partial = tempfile.mkstemp(dir=cache, prefix=".walk-", suffix=".so")
+        os.close(fd)
+        argv = [*command, "-O2", "-shared", "-fPIC", "-o", partial, str(source)]
+        try:
+            try:
+                built = subprocess.run(argv, capture_output=True, text=True)
+            except OSError as exc:
+                raise ImportError(f"cannot build the search walk: {shlex.join(argv)}: {exc}") from exc
+            if built.returncode != 0:
+                raise ImportError(
+                    f"cannot build the search walk: {shlex.join(argv)} exited with"
+                    f" {built.returncode}:\n{built.stderr}"
+                )
+            os.replace(partial, library)
+        finally:
+            if os.path.exists(partial):
+                os.remove(partial)
+    lib = ctypes.CDLL(str(library))
+    lib.acx_walk.argtypes = [
+        ctypes.POINTER(ctypes.c_int32), ctypes.c_int32, ctypes.c_int32, ctypes.c_int32,
+        ctypes.c_int32, ctypes.POINTER(ctypes.c_int32), ctypes.POINTER(ctypes.c_int32),
+        ctypes.POINTER(ctypes.c_int64),
+    ]
+    lib.acx_walk.restype = ctypes.c_int
+    return lib
 
-    Walk counts, capped at two, live in one (m1, m2) row per path position:
-    the states reached by at least one walk of that length, and by at least
-    two.  A step walks the set bits p of m1; a target of p gets a second
-    walk if an earlier p already reached it, or if p itself has two walks.
-    Reusing a transition appends one row.  A new transition is first tested
-    in O(1) against ``in_any`` (see _walk), which cuts most of them.  For
-    one that passes, _extend leaves the rows up to the first that reaches
-    its source as they are, and copies the rest into a fresh list with the
-    walks that take the new transition added: those are counted apart, in
-    a capped pair of masks carried from row to row, so a row costs a step
-    of those few walks rather than of all of them, and a row that none of
-    them reaches is kept as it is.  The copy stops at the first row with a
-    second walk into the path.  Each cut is one that recomputing every row
-    with the transition would make, so the prune stays exact.  Only _walk
-    changes this state: it commits each step and undoes it on return.
 
-    The search runs in the calling process, as one depth-first walk over
-    the window [lo, q] of state counts.  A ``least`` walk tries targets in
-    increasing order; any other tries the new state first, then the
-    existing states from the highest down, so that q drops sooner (see
-    _walk).  It prunes only targets >= q.  ``lo`` is a proved lower bound
-    on A_N(w), as every caller passes.  Only a full path moves q: it is
-    kept as ``best`` and sets q = m, its largest state, so once a path is
-    found q = max(best).  A path with lo states, m < lo, ends the walk;
-    with more, the walk goes on for a witness with fewer states.  A path
-    of n - 1 steps needs no rule of its own: its step into a new state
-    m + 1, which has no edges, always survives, so the walk reaches that
-    witness one step later.  With lo = q, the first full path ends the
-    walk, which is one level's search.  When the walk ends, every level
-    from lo to q has been ruled out, and ``best``, if any, has q + 1
-    states.
+# the compiler that built this Python, and the per-user cache of built walks
+_COMPILER = shlex.split(sysconfig.get_config_var("CC") or "cc")
+_CACHE = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "acx"
+_LIB = load_walk(_COMPILER, _CACHE)
+
+
+def _walk(
+    letters: Sequence[int], lo: int, q: int, least: bool
+) -> tuple[Optional[tuple[int, ...]], int, list[int]]:
+    """One depth-first walk of canonical path candidates with lo to q states.
+
+    Runs compiled, from _walk.c; ReferenceSearch in tests/oracles.py is the
+    same walk in Python, and explains each cut.  Returns the walk's last
+    full path or None, its final q and its ``counts``.
+
+    A ``least`` walk tries targets in increasing order; any other tries the
+    new state first, then the existing states from the highest down, so
+    that q drops sooner.  It prunes only targets >= q.  ``lo`` is a proved
+    lower bound on A_N(w), as every caller passes.  Only a full path moves
+    q: it sets q = m, its largest state.  A path with lo states, m < lo,
+    ends the walk; with more, the walk goes on for a witness with fewer
+    states.  With lo = q, the first full path ends the walk, which is one
+    level's search.  When the walk ends, every level from lo to the final q
+    has been ruled out, and the last path, if any, has q + 1 states.
 
     ``counts[m]`` is the number of extensions examined whose path then has
     largest state m.  Which are cut does not depend on the window or on
-    the order, so these counts also give the nodes of each exhausted
-    level's own search (level_nodes).
+    the order, so the search of level s alone, lo = q = s, examines
+    sum(counts[:s]) nodes, for each level s from lo to the final q.
     """
-
-    __slots__ = (
-        "letters", "n", "lo", "q", "labels", "out_any", "in_any",
-        "rows", "path", "counts", "best", "least",
+    n = len(letters)
+    path = (ctypes.c_int32 * (n + 1))()
+    final = ctypes.c_int32()
+    counts = (ctypes.c_int64 * q)()
+    found = _LIB.acx_walk(
+        (ctypes.c_int32 * n)(*letters), n, lo, q, least, path, ctypes.byref(final), counts
     )
-
-    def __init__(self, letters: Sequence[int], lo: int, q: int, least: bool):
-        self.letters = tuple(letters)
-        self.n = len(letters)
-        self.lo = lo
-        self.q = q
-        self.least = least
-        self.labels = [[0] * q for _ in range(q)]
-        self.out_any = [0] * q
-        self.in_any = [0] * q
-        self.rows: list[tuple[int, int]] = [(1, 0)]
-        self.path: list[int] = [0]
-        self.counts = [0] * q
-        self.best: Optional[tuple[int, ...]] = None
-
-    def _step(self, row: tuple[int, int]) -> tuple[int, int]:
-        m1, m2 = row
-        out_any = self.out_any
-        r1 = 0
-        r2 = 0
-        while m1:
-            low = m1 & -m1
-            targets = out_any[low.bit_length() - 1]
-            r2 |= r1 & targets
-            if m2 & low:
-                r2 |= targets
-            r1 |= targets
-            m1 ^= low
-        return r1, r2
-
-    def _extend(self, depth: int, target: int):
-        """The rows with the new transition path[depth] -> target, or None if cut.
-
-        The transition's bit of ``out_any`` is already set (see _walk); this
-        writes nothing.  It reaches here only past the in_any test of
-        _walk: no state reached by a walk of length ``depth`` has an edge
-        into target.
-
-        The walks of each length i that take the new edge are counted in a
-        capped pair (d1, d2): the pair for i - 1 stepped through the edges,
-        new one included, plus the old walks of length i - 1 into source,
-        each taking the new edge into target.  Row i becomes the old row
-        plus that pair.  The path's own walk does not take the new edge, so
-        the step is cut at the first row i <= depth whose pair reaches
-        ``path[i]``, and at row depth + 1 if it has two walks into target;
-        the path carries both walks on to target.  That last test is O(1):
-        a walk into target takes the new edge from source, or an old edge
-        from a source in in_any[target].  Source has one walk of length
-        depth, the path's: no row has a second walk into the path, and a
-        d1 that reaches source has been cut.  The old row depth reaches no
-        state of in_any[target], so target has two walks exactly when d1
-        meets in_any[target].
-        """
-        path = self.path
-        bit = 1 << path[depth]
-        target_bit = 1 << target
-        out_any = self.out_any
-        rows = self.rows
-        first = 0
-        while not rows[first][0] & bit:
-            first += 1
-        fresh = rows[: first + 1]
-        m1, m2 = fresh[-1]
-        d1 = d2 = 0
-        for i in range(first + 1, depth + 1):
-            # the walks of length i that take the new edge: those of length
-            # i - 1 stepped on, and the old walks into source taking it
-            r1 = r2 = 0
-            while d1:
-                low = d1 & -d1
-                targets = out_any[low.bit_length() - 1]
-                r2 |= r1 & targets
-                if d2 & low:
-                    r2 |= targets
-                r1 |= targets
-                d1 ^= low
-            if m1 & bit:
-                if m2 & bit or r1 & target_bit:
-                    r2 |= target_bit
-                r1 |= target_bit
-            d1 = r1
-            d2 = r2
-            m1, m2 = row = rows[i]
-            if (d1 >> path[i]) & 1:
-                return None
-            fresh.append((m1 | d1, m2 | d2 | (m1 & d1)) if d1 else row)
-        if d1 & self.in_any[target]:
-            return None
-        fresh.append(self._step(fresh[-1]))
-        return fresh
-
-    def _walk(self, depth: int, max_state: int) -> bool:
-        """Extend the path depth first, committing and undoing every step.
-
-        A least walk tries targets in increasing order, so it meets full
-        paths in lexicographic order.  Any other walk tries the new state
-        first and then the existing states from the highest down, which
-        reaches a full path sooner.  Returns True once a full path with lo
-        states ends the walk.  The extension into the endpoint already
-        ruled out a second walk there.
-
-        A step on a committed transition appends one row, and is cut if it
-        has a second walk into target.  A new transition source -> target
-        is cut before _extend when a state reached by a walk of length
-        ``depth`` already has an edge into target: that walk and edge, and
-        the path's own walk through the new transition, are two walks of
-        length depth + 1 into target.  Its ``out_any`` bit is set for
-        _extend, and cleared again if _extend cuts it.
-        """
-        if depth == self.n:
-            self.best = tuple(self.path)
-            self.q = max_state
-            return max_state < self.lo
-        counts = self.counts
-        rows = self.rows
-        last = rows[-1]
-        path = self.path
-        source = path[depth]
-        source_bit = 1 << source
-        letter = 1 << self.letters[depth]
-        edges = self.labels[source]
-        out_any = self.out_any
-        in_any = self.in_any
-        if self.least:
-            targets = range(max_state + 2)
-        else:
-            targets = range(max_state + 1, -1, -1)
-        for target in targets:
-            new_max = max_state if target <= max_state else target
-            if new_max >= self.q:
-                continue
-            counts[new_max] += 1
-            if edges[target] & letter:
-                row = self._step(last)
-                if (row[1] >> target) & 1:
-                    continue
-                rows.append(row)
-                path.append(target)
-                done = self._walk(depth + 1, new_max)
-                rows.pop()
-                path.pop()
-            elif last[0] & in_any[target]:
-                continue
-            else:
-                # source is in the last row, so past the in_any test
-                # source -> target has no letter yet
-                target_bit = 1 << target
-                out_any[source] |= target_bit
-                fresh = self._extend(depth, target)
-                if fresh is None:
-                    out_any[source] &= ~target_bit
-                    continue
-                edges[target] = letter
-                in_any[target] |= source_bit
-                path.append(target)
-                self.rows = fresh
-                done = self._walk(depth + 1, new_max)
-                self.rows = rows
-                path.pop()
-                edges[target] = 0
-                in_any[target] &= ~source_bit
-                out_any[source] &= ~target_bit
-            if done:
-                return True
-        return False
-
-    def level_nodes(self, s: int) -> int:
-        """The nodes that the search of level s alone, lo = q = s, examines.
-
-        Cuts do not depend on the window, so that search examines exactly
-        this walk's extensions into a path with largest state m < s.  Exact
-        for each level from lo to q at the end of the walk: q never went
-        below it, so the walk examined all of those extensions.
-        """
-        return sum(self.counts[:s])
+    if found < 0:
+        raise RuntimeError(f"the search walk of a {n}-letter word could not allocate memory")
+    return (tuple(path) if found else None), final.value, list(counts)
 
 
 def _search_level(
@@ -319,16 +198,16 @@ def _search_level(
     walk's last witness path, with the fewest states of any path-induced
     witness with lo to q states, or None if there is none; with lo = q
     and ``least`` it is the least full path with q states.  Without
-    ``least`` the walk tries new states first (see _LevelSearch._walk),
-    and its path need not be the least.  The list holds the node count of
-    each level from lo to the walk's final q, one below the path's state
-    count (q itself if there is no path): exactly the nodes that the
-    search of that level alone examines.  Each of those levels is
-    exhausted, whatever the order.
+    ``least`` the walk tries new states first (see _walk), and its path
+    need not be the least.  The list holds the node count of each level
+    from lo to the walk's final q, one below the path's state count (q
+    itself if there is no path): exactly the nodes that the search of that
+    level alone examines.  Each of those levels is exhausted, whatever the
+    order.
     """
-    search = _LevelSearch(letters, lo, q, least)
-    search._walk(0, 0)
-    return search.best, [search.level_nodes(s) for s in range(lo, search.q + 1)]
+    path, q, counts = _walk(letters, lo, q, least)
+    nodes = [0, *accumulate(counts)]
+    return path, nodes[lo : q + 1]
 
 
 def _witness_from_path(word: Word, seq: tuple[int, ...], q: int) -> Nfa:
@@ -379,8 +258,10 @@ def _decide(
     return q, seq, SearchCertificate(q - 1, sum(levels), mode)
 
 
-# the longest word an_exact searches: the walk recurses once per letter, and
-# near 980 letters it meets Python's default recursion limit of 1000
+# the longest word an_exact searches, a limit the CLI states: the compiled
+# walk recurses once per letter on the C stack, and its windows stay below
+# hyde_bound(900) = 451 states, masks of at most 8 words; tests also run the
+# Python reference walk at this length, under Python's recursion limit of 1000
 MAX_LENGTH = 900
 
 
@@ -411,7 +292,7 @@ def an_exact(
     w[1:] are in the dict, lo = max(A_N(w[:-1]), A_N(w[1:])) and
     hi = A_N(w[:-1]) + 1, attained by the prefix's path plus one new final
     state.  Otherwise lo = 1 and hi = hyde_bound(n).  If lo < hi, one walk
-    (see _LevelSearch) looks for a witness with lo to hi - 1 states: each
+    (see _walk) looks for a witness with lo to hi - 1 states: each
     full path it finds lowers the state count it still looks for to one
     below its own, and the walk prunes only state indices at or above
     that count.  The value is the state count of its last witness.  If it
@@ -426,7 +307,7 @@ def an_exact(
     lexicographically least canonical state sequence of that count, which
     is the witness; so is the least path of Hyde's level.  With
     ``searches``, the walks try the new state first (see
-    _LevelSearch._walk), which reaches a witness sooner; they exhaust the
+    _walk), which reaches a witness sooner; they exhaust the
     same levels with the same node counts.
 
     The witness is always built from the word's own letters and re-checked,

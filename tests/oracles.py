@@ -1,6 +1,7 @@
 """Brute-force oracles, independent of the library code paths they check."""
 
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from acx.nfa import Nfa, uniquely_accepts
 from acx.words import Word
@@ -178,7 +179,7 @@ def capped_walk_rows(labels: list[list[int]], length: int) -> list[tuple[int, in
 
 
 class FullRebuildSearch:
-    """The walk of _LevelSearch with every step checked by recounting rows.
+    """The walk of ReferenceSearch with every step checked by recounting rows.
 
     It enumerates the same canonical paths in the same order, under the
     same window [lo, q], prunes only targets >= q, counts its extensions
@@ -276,3 +277,236 @@ class FullRebuildSearch:
             if done:
                 return True
         return False
+
+
+class ReferenceSearch:
+    """Depth-first scan of canonical path candidates with lo to q states.
+
+    The walk that acx.complexity runs compiled, from src/acx/_walk.c, in
+    Python: the compiled walk must examine the same extensions in the same
+    order, and end with the same ``best``, ``q`` and ``counts``.
+
+    The committed transitions are held once, as ``labels[p][t]``: the
+    letter bit of the edge p -> t, or 0, which also answers whether a step
+    reuses a committed transition.  A committed edge carries exactly one
+    letter: a second letter on p -> t is cut by the in_any test (see
+    _walk), since the path is at p.  Two masks follow it: ``out_any[p]``,
+    the targets of p, and ``in_any[t]``, the sources into t.
+
+    Walk counts, capped at two, live in one (m1, m2) row per path position:
+    the states reached by at least one walk of that length, and by at least
+    two.  A step walks the set bits p of m1; a target of p gets a second
+    walk if an earlier p already reached it, or if p itself has two walks.
+    Reusing a transition appends one row.  A new transition is first tested
+    in O(1) against ``in_any`` (see _walk), which cuts most of them.  For
+    one that passes, _extend leaves the rows up to the first that reaches
+    its source as they are, and copies the rest into a fresh list with the
+    walks that take the new transition added: those are counted apart, in
+    a capped pair of masks carried from row to row, so a row costs a step
+    of those few walks rather than of all of them, and a row that none of
+    them reaches is kept as it is.  The copy stops at the first row with a
+    second walk into the path.  Each cut is one that recomputing every row
+    with the transition would make, so the prune stays exact.  Only _walk
+    changes this state: it commits each step and undoes it on return.
+
+    The search runs in the calling process, as one depth-first walk over
+    the window [lo, q] of state counts.  A ``least`` walk tries targets in
+    increasing order; any other tries the new state first, then the
+    existing states from the highest down, so that q drops sooner (see
+    _walk).  It prunes only targets >= q.  ``lo`` is a proved lower bound
+    on A_N(w), as every caller passes.  Only a full path moves q: it is
+    kept as ``best`` and sets q = m, its largest state, so once a path is
+    found q = max(best).  A path with lo states, m < lo, ends the walk;
+    with more, the walk goes on for a witness with fewer states.  A path
+    of n - 1 steps needs no rule of its own: its step into a new state
+    m + 1, which has no edges, always survives, so the walk reaches that
+    witness one step later.  With lo = q, the first full path ends the
+    walk, which is one level's search.  When the walk ends, every level
+    from lo to q has been ruled out, and ``best``, if any, has q + 1
+    states.
+
+    ``counts[m]`` is the number of extensions examined whose path then has
+    largest state m.  Which are cut does not depend on the window or on
+    the order, so these counts also give the nodes of each exhausted
+    level's own search (level_nodes).
+    """
+
+    __slots__ = (
+        "letters", "n", "lo", "q", "labels", "out_any", "in_any",
+        "rows", "path", "counts", "best", "least",
+    )
+
+    def __init__(self, letters: Sequence[int], lo: int, q: int, least: bool):
+        self.letters = tuple(letters)
+        self.n = len(letters)
+        self.lo = lo
+        self.q = q
+        self.least = least
+        self.labels = [[0] * q for _ in range(q)]
+        self.out_any = [0] * q
+        self.in_any = [0] * q
+        self.rows: list[tuple[int, int]] = [(1, 0)]
+        self.path: list[int] = [0]
+        self.counts = [0] * q
+        self.best: Optional[tuple[int, ...]] = None
+
+    def _step(self, row: tuple[int, int]) -> tuple[int, int]:
+        m1, m2 = row
+        out_any = self.out_any
+        r1 = 0
+        r2 = 0
+        while m1:
+            low = m1 & -m1
+            targets = out_any[low.bit_length() - 1]
+            r2 |= r1 & targets
+            if m2 & low:
+                r2 |= targets
+            r1 |= targets
+            m1 ^= low
+        return r1, r2
+
+    def _extend(self, depth: int, target: int):
+        """The rows with the new transition path[depth] -> target, or None if cut.
+
+        The transition's bit of ``out_any`` is already set (see _walk); this
+        writes nothing.  It reaches here only past the in_any test of
+        _walk: no state reached by a walk of length ``depth`` has an edge
+        into target.
+
+        The walks of each length i that take the new edge are counted in a
+        capped pair (d1, d2): the pair for i - 1 stepped through the edges,
+        new one included, plus the old walks of length i - 1 into source,
+        each taking the new edge into target.  Row i becomes the old row
+        plus that pair.  The path's own walk does not take the new edge, so
+        the step is cut at the first row i <= depth whose pair reaches
+        ``path[i]``, and at row depth + 1 if it has two walks into target;
+        the path carries both walks on to target.  That last test is O(1):
+        a walk into target takes the new edge from source, or an old edge
+        from a source in in_any[target].  Source has one walk of length
+        depth, the path's: no row has a second walk into the path, and a
+        d1 that reaches source has been cut.  The old row depth reaches no
+        state of in_any[target], so target has two walks exactly when d1
+        meets in_any[target].
+        """
+        path = self.path
+        bit = 1 << path[depth]
+        target_bit = 1 << target
+        out_any = self.out_any
+        rows = self.rows
+        first = 0
+        while not rows[first][0] & bit:
+            first += 1
+        fresh = rows[: first + 1]
+        m1, m2 = fresh[-1]
+        d1 = d2 = 0
+        for i in range(first + 1, depth + 1):
+            # the walks of length i that take the new edge: those of length
+            # i - 1 stepped on, and the old walks into source taking it
+            r1 = r2 = 0
+            while d1:
+                low = d1 & -d1
+                targets = out_any[low.bit_length() - 1]
+                r2 |= r1 & targets
+                if d2 & low:
+                    r2 |= targets
+                r1 |= targets
+                d1 ^= low
+            if m1 & bit:
+                if m2 & bit or r1 & target_bit:
+                    r2 |= target_bit
+                r1 |= target_bit
+            d1 = r1
+            d2 = r2
+            m1, m2 = row = rows[i]
+            if (d1 >> path[i]) & 1:
+                return None
+            fresh.append((m1 | d1, m2 | d2 | (m1 & d1)) if d1 else row)
+        if d1 & self.in_any[target]:
+            return None
+        fresh.append(self._step(fresh[-1]))
+        return fresh
+
+    def _walk(self, depth: int, max_state: int) -> bool:
+        """Extend the path depth first, committing and undoing every step.
+
+        A least walk tries targets in increasing order, so it meets full
+        paths in lexicographic order.  Any other walk tries the new state
+        first and then the existing states from the highest down, which
+        reaches a full path sooner.  Returns True once a full path with lo
+        states ends the walk.  The extension into the endpoint already
+        ruled out a second walk there.
+
+        A step on a committed transition appends one row, and is cut if it
+        has a second walk into target.  A new transition source -> target
+        is cut before _extend when a state reached by a walk of length
+        ``depth`` already has an edge into target: that walk and edge, and
+        the path's own walk through the new transition, are two walks of
+        length depth + 1 into target.  Its ``out_any`` bit is set for
+        _extend, and cleared again if _extend cuts it.
+        """
+        if depth == self.n:
+            self.best = tuple(self.path)
+            self.q = max_state
+            return max_state < self.lo
+        counts = self.counts
+        rows = self.rows
+        last = rows[-1]
+        path = self.path
+        source = path[depth]
+        source_bit = 1 << source
+        letter = 1 << self.letters[depth]
+        edges = self.labels[source]
+        out_any = self.out_any
+        in_any = self.in_any
+        if self.least:
+            targets = range(max_state + 2)
+        else:
+            targets = range(max_state + 1, -1, -1)
+        for target in targets:
+            new_max = max_state if target <= max_state else target
+            if new_max >= self.q:
+                continue
+            counts[new_max] += 1
+            if edges[target] & letter:
+                row = self._step(last)
+                if (row[1] >> target) & 1:
+                    continue
+                rows.append(row)
+                path.append(target)
+                done = self._walk(depth + 1, new_max)
+                rows.pop()
+                path.pop()
+            elif last[0] & in_any[target]:
+                continue
+            else:
+                # source is in the last row, so past the in_any test
+                # source -> target has no letter yet
+                target_bit = 1 << target
+                out_any[source] |= target_bit
+                fresh = self._extend(depth, target)
+                if fresh is None:
+                    out_any[source] &= ~target_bit
+                    continue
+                edges[target] = letter
+                in_any[target] |= source_bit
+                path.append(target)
+                self.rows = fresh
+                done = self._walk(depth + 1, new_max)
+                self.rows = rows
+                path.pop()
+                edges[target] = 0
+                in_any[target] &= ~source_bit
+                out_any[source] &= ~target_bit
+            if done:
+                return True
+        return False
+
+    def level_nodes(self, s: int) -> int:
+        """The nodes that the search of level s alone, lo = q = s, examines.
+
+        Cuts do not depend on the window, so that search examines exactly
+        this walk's extensions into a path with largest state m < s.  Exact
+        for each level from lo to q at the end of the walk: q never went
+        below it, so the walk examined all of those extensions.
+        """
+        return sum(self.counts[:s])

@@ -3,6 +3,7 @@ import multiprocessing
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from acx.nfa import Nfa, uniquely_accepts
 from acx.words import Word
 from oracles import (
     FullRebuildSearch,
+    ReferenceSearch,
     accepts_spelling,
     capped_walk_rows,
     count_length_n_accepting_paths,
@@ -121,8 +123,9 @@ class TestAnExact:
         assert sequential == parallel
 
     def test_length_cap(self):
-        # the walk recurses once per letter, so the cap keeps it below
-        # Python's recursion limit
+        # the cap is the CLI's stated limit: it bounds the compiled walk's
+        # recursion and masks, and keeps ReferenceSearch, which recurses
+        # once per letter, below Python's recursion limit
         cap = acx.complexity.MAX_LENGTH
         result = an_exact(Word((0,) * cap, 1))
         assert result.value == 1
@@ -186,15 +189,30 @@ def kernel_words() -> list[Word]:
     return [Word(tuple(rng.randrange(k) for _ in range(11)), k) for k in (2, 3) for _ in range(4)]
 
 
+def reference_search_level(letters, lo: int, q: int, least: bool):
+    """_search_level with the walk of ReferenceSearch, whose steps a test
+    can hook, in place of the compiled one."""
+    search = ReferenceSearch(letters, lo, q, least)
+    search._walk(0, 0)
+    return search.best, [search.level_nodes(s) for s in range(lo, search.q + 1)]
+
+
+@pytest.fixture
+def reference_walk(monkeypatch):
+    """an_exact searches with the walk of ReferenceSearch while the test runs."""
+    monkeypatch.setattr(acx.complexity, "_search_level", reference_search_level)
+
+
 def check_after_every_change(monkeypatch, check) -> None:
-    """Decides seeded words of length 11 on 2 and 3 letters with
-    check(search) run on every entry to _walk, after a step is committed,
-    and after every return, after it is undone; a step cut in _walk or in
-    _extend must leave the state as it was, which the next check sees.
+    """Decides seeded words of length 11 on 2 and 3 letters by the walk of
+    ReferenceSearch, with check(search) run on every entry to _walk, after
+    a step is committed, and after every return, after it is undone; a
+    step cut in _walk or in _extend must leave the state as it was, which
+    the next check sees.
     Every check also asserts that each committed edge carries one letter,
     that out_any[p] is the set of targets of p, and that no row has a
     second walk into the path."""
-    walk = acx.complexity._LevelSearch._walk
+    walk = ReferenceSearch._walk
     checked = []
 
     def check_all(search):
@@ -214,7 +232,8 @@ def check_after_every_change(monkeypatch, check) -> None:
         check_all(self)
         return done
 
-    monkeypatch.setattr(acx.complexity._LevelSearch, "_walk", checked_walk)
+    monkeypatch.setattr(acx.complexity, "_search_level", reference_search_level)
+    monkeypatch.setattr(ReferenceSearch, "_walk", checked_walk)
     for w in kernel_words():
         an_exact(w)
     assert max(checked) >= 5
@@ -254,10 +273,10 @@ class TestKernelInvariants:
 
         check_after_every_change(monkeypatch, check)
 
-    def test_bound_moves_only_at_a_full_path(self, monkeypatch):
+    def test_bound_moves_only_at_a_full_path(self, monkeypatch, reference_walk):
         # after every return of _walk, q is the window's top until a full
         # path is found, and then the largest state of the last one
-        walk = acx.complexity._LevelSearch._walk
+        walk = ReferenceSearch._walk
         returns = []
 
         def checked_walk(self, depth, max_state):
@@ -267,7 +286,7 @@ class TestKernelInvariants:
             returns.append((done, self.best is not None))
             return done
 
-        monkeypatch.setattr(acx.complexity._LevelSearch, "_walk", checked_walk)
+        monkeypatch.setattr(ReferenceSearch, "_walk", checked_walk)
         for w in kernel_words():
             an_exact(w)
         # walks that end at a path with lo states, and ones that go on past one
@@ -282,7 +301,7 @@ class TestKernelInvariants:
         words = [l for n in range(9) for l in product((0, 1), repeat=n)]
         words += [l for n in range(7) for l in product(range(3), repeat=n)]
         value = {letters: an_exact(Word(letters, 3)).value for letters in words}
-        walk = acx.complexity._LevelSearch._walk
+        walk = ReferenceSearch._walk
         entries = []
 
         def checked_walk(self, depth, max_state):
@@ -291,7 +310,8 @@ class TestKernelInvariants:
                 entries.append(None)
             return walk(self, depth, max_state)
 
-        monkeypatch.setattr(acx.complexity._LevelSearch, "_walk", checked_walk)
+        monkeypatch.setattr(acx.complexity, "_search_level", reference_search_level)
+        monkeypatch.setattr(ReferenceSearch, "_walk", checked_walk)
         sweep = {}
         for letters in words:
             an_exact(Word(letters, 3))
@@ -303,29 +323,29 @@ class TestKernelInvariants:
             if value[letters] == 1:
                 continue
             for least in (True, False):
-                wide = acx.complexity._LevelSearch(letters, 1, hyde_bound(len(letters)) - 1, least)
+                wide = ReferenceSearch(letters, 1, hyde_bound(len(letters)) - 1, least)
                 wide._walk(0, 0)
                 for s in range(1, value[letters]):
-                    search = acx.complexity._LevelSearch(letters, s, s, least)
+                    search = ReferenceSearch(letters, s, s, least)
                     search._walk(0, 0)
                     assert search.best is None
                     assert search.level_nodes(s) == sum(search.counts)
                     assert wide.level_nodes(s) == sum(search.counts), (letters, s, least)
 
-    def test_step_calls(self, monkeypatch):
+    def test_step_calls(self, monkeypatch, reference_walk):
         # most new edges are cut by the in_any test before any row is
         # recounted, and a new edge recounts rows up to depth from the
         # walks that take it and tests the row after in O(1); only a
         # reused edge or a new edge that survives takes one full step, a
         # count that no machine changes
-        step = acx.complexity._LevelSearch._step
+        step = ReferenceSearch._step
         calls = []
 
         def counted(self, row):
             calls.append(None)
             return step(self, row)
 
-        monkeypatch.setattr(acx.complexity._LevelSearch, "_step", counted)
+        monkeypatch.setattr(ReferenceSearch, "_step", counted)
         an_exact(REFERENCE)
         assert len(calls) == 924
         calls.clear()
@@ -372,7 +392,8 @@ class TestDeltaRows:
     does, which has its own walk and checks every step by recounting the
     rows in full: the same witness path, node counts and final bound, in
     both orders and on the windows of a bracket from level 1 and of Hyde's
-    level alone."""
+    level alone.  Both the compiled walk and ReferenceSearch, its Python
+    form, are checked."""
 
     def test_same_walk_as_the_full_rebuild(self):
         walks = 0
@@ -383,13 +404,62 @@ class TestDeltaRows:
                     continue
                 for least in (True, False):
                     searches = []
-                    for kind in (acx.complexity._LevelSearch, FullRebuildSearch):
+                    for kind in (ReferenceSearch, FullRebuildSearch):
                         search = kind(w.letters, lo, q, least)
                         search._walk(0, 0)
                         searches.append((search.best, search.counts, search.q))
-                    assert searches[0] == searches[1], (w, lo, q, least)
+                    path, final_q, counts = acx.complexity._walk(w.letters, lo, q, least)
+                    searches.append((path, counts, final_q))
+                    assert searches[0] == searches[1] == searches[2], (w, lo, q, least)
                     walks += 1
         assert walks == 8514
+
+
+class TestCompiledWalk:
+    """The compiled walk on masks of more than one 64-bit word, and the
+    build of its library."""
+
+    @pytest.mark.parametrize(
+        "letters, least",
+        [
+            # the longest words: masks of 8 words; a new-state-first walk
+            # of 0^900 visits every state of its window
+            ((0,) * 900, True),
+            ((0,) * 900, False),
+            # least order only: the new-state-first walks of these two
+            # take minutes in Python
+            ((0, 1) * 450, True),
+            ((0,) * 899 + (1,), True),
+            # a window of 100 states, 2 words, and states above 64 visited
+            ((0,) * 200, False),
+        ],
+    )
+    def test_wide_masks(self, letters, least):
+        q = hyde_bound(len(letters)) - 1
+        search = ReferenceSearch(letters, 1, q, least)
+        search._walk(0, 0)
+        assert acx.complexity._walk(letters, 1, q, least) == (search.best, search.q, search.counts)
+
+    def test_failed_build_names_the_command(self, tmp_path):
+        with pytest.raises(ImportError, match="/nonexistent-cc"):
+            acx.complexity.load_walk(["/nonexistent-cc"], tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_builds_its_own_library_beside_another(self, tmp_path, monkeypatch):
+        # a file under another hash name is neither loaded nor touched
+        garbage = tmp_path / f"walk-{'0' * 64}.so"
+        garbage.write_bytes(b"not a library")
+        lib = acx.complexity.load_walk(acx.complexity._COMPILER, tmp_path)
+        assert garbage.read_bytes() == b"not a library"
+        (built,) = set(tmp_path.iterdir()) - {garbage}
+        assert Path(lib._name) == built
+        assert built.name == Path(acx.complexity._LIB._name).name
+        # and its walk is the reference's
+        monkeypatch.setattr(acx.complexity, "_LIB", lib)
+        letters = W("001111110100110110").letters
+        search = ReferenceSearch(letters, 1, 9, True)
+        search._walk(0, 0)
+        assert acx.complexity._walk(letters, 1, 9, True) == (search.best, search.q, search.counts)
 
 
 def levels_in_turn(letters: tuple[int, ...]):
@@ -827,17 +897,19 @@ class TestBoundedWalk:
     and the cases at its edges."""
 
     def test_node_counts(self, monkeypatch):
+        # the counts of every compiled walk
         walks = []
-        init = acx.complexity._LevelSearch.__init__
+        walk = acx.complexity._walk
 
-        def recording(self, *args):
-            init(self, *args)
-            walks.append(self)
+        def recording(*args):
+            path, q, counts = walk(*args)
+            walks.append(counts)
+            return path, q, counts
 
         def nodes():
-            return sum(sum(walk.counts) for walk in walks)
+            return sum(sum(counts) for counts in walks)
 
-        monkeypatch.setattr(acx.complexity._LevelSearch, "__init__", recording)
+        monkeypatch.setattr(acx.complexity, "_walk", recording)
         acx.modular.exact_values_binary(8, {})
         # one walk per class, and one search of Hyde's level alone per class
         # whose walk finds nothing; the level-by-level search made 266 walks
@@ -863,19 +935,19 @@ class TestBoundedWalk:
         assert (len(walks), nodes()) == (138, 10149)
         assert nodes() < 14448
 
-    def test_new_state_first_without_the_least_witness(self, monkeypatch):
+    def test_new_state_first_without_the_least_witness(self, monkeypatch, reference_walk):
         # from each node, a least walk tries targets in increasing order;
         # any other walk tries the new state first, then the existing
         # states from the highest down.  _extend sees only the targets of
         # new transitions that pass the in_any test, in that order
-        extend = acx.complexity._LevelSearch._extend
+        extend = ReferenceSearch._extend
         tried = {}
 
         def recording(self, depth, target):
             tried.setdefault((self.least, tuple(self.path)), []).append(target)
             return extend(self, depth, target)
 
-        monkeypatch.setattr(acx.complexity._LevelSearch, "_extend", recording)
+        monkeypatch.setattr(ReferenceSearch, "_extend", recording)
         w = W("001111110100110110")
         assert an_exact(w, searches={}).value == an_exact(w).value == 9
         for least in (True, False):
@@ -903,10 +975,10 @@ class TestBoundedWalk:
         assert uniquely_accepts(result.witness, w)
         assert_agrees_without_a_dict(w, result)
 
-    def test_full_path_above_the_value_lowers_the_bound(self, monkeypatch):
+    def test_full_path_above_the_value_lowers_the_bound(self, monkeypatch, reference_walk):
         # the least walk's first full path of 0010101010 has 5 states,
         # below hyde_bound(10) = 6; the walk goes on and finds one with 3
-        walk = acx.complexity._LevelSearch._walk
+        walk = ReferenceSearch._walk
         full_paths = []
 
         def recording(self, depth, max_state):
@@ -914,7 +986,7 @@ class TestBoundedWalk:
                 full_paths.append(max_state + 1)
             return walk(self, depth, max_state)
 
-        monkeypatch.setattr(acx.complexity._LevelSearch, "_walk", recording)
+        monkeypatch.setattr(ReferenceSearch, "_walk", recording)
         w = W("0010101010")
         result = an_exact(w)
         assert full_paths == [5, 3]

@@ -65,8 +65,10 @@ def test_every_definition_has_a_caller():
 
 
 # RuntimeError and AssertionError mark faults, ArgumentTypeError the CLI's
-# usage errors
-RAISED = {"ValueError", "RuntimeError", "AssertionError", "argparse.ArgumentTypeError"}
+# usage errors, and ImportError a failed build of the compiled search walk
+RAISED = {
+    "ValueError", "RuntimeError", "AssertionError", "argparse.ArgumentTypeError", "ImportError"
+}
 
 
 def test_no_exception_classes():
